@@ -57,10 +57,9 @@ def cmd_run(args):
     _run_and_emit(config)
 
 
-def cmd_export_strategy(args):
-    doc = E.export_strategy(_load_json(f"{args.run}/report.json"))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def cmd_export(args):
+    doc = args.extract(_load_json(f"{args.run}/report.json"))
+    E._write(args.out, E._dump_json(doc))
     print(args.out)
 
 
@@ -68,13 +67,6 @@ def cmd_import_strategy(args):
     config = _apply_overrides(E.load_config(args.config), args)
     config = E.import_strategy(_load_json(args.strategy), config)
     _run_and_emit(config)
-
-
-def cmd_export_arch(args):
-    doc = E.export_architecture(_load_json(f"{args.run}/report.json"))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(args.out)
 
 
 def cmd_import_arch(args):
@@ -109,7 +101,7 @@ def build_parser():
     p = sub.add_parser("export-strategy", help="extract the strategy from a run")
     p.add_argument("--run", required=True, help="report directory of a finished run")
     p.add_argument("--out", required=True, help="strategy file to write")
-    p.set_defaults(fn=cmd_export_strategy)
+    p.set_defaults(fn=cmd_export, extract=E.export_strategy)
 
     p = sub.add_parser("import-strategy", help="run with a transferred strategy")
     common(p)
@@ -119,7 +111,7 @@ def build_parser():
     p = sub.add_parser("export-arch", help="extract the searched architecture")
     p.add_argument("--run", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_export_arch)
+    p.set_defaults(fn=cmd_export, extract=E.export_architecture)
 
     p = sub.add_parser("import-arch", help="retrain a transferred architecture")
     common(p)

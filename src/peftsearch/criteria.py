@@ -7,6 +7,7 @@ within its scoring group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +68,6 @@ class ModuleStats:
 @dataclass
 class ScoreVector:
     ids: list
-    theta: np.ndarray
     unimportance: np.ndarray
     ranks: np.ndarray  # 1-based, ascending unimportance; ties by (layer, kind)
 
@@ -77,6 +77,7 @@ def collect_stats(supernet: Supernet, batches, steps: int, optimizer: Adam,
     """Train ``steps`` optimizer steps, accumulating per-module statistics.
 
     ``batches`` yields (tokens, labels). Returns (stats map, loss list).
+    Raises FloatingPointError at the first non-finite loss.
     """
     if steps <= 0:
         raise ValueError("stats collection needs at least one step")
@@ -87,10 +88,12 @@ def collect_stats(supernet: Supernet, batches, steps: int, optimizer: Adam,
     act = {}
     losses = []
     params = optimizer.params
-    for _ in range(steps):
+    for step in range(1, steps + 1):
         tokens, labels = next(batches)
         logits = supernet.forward(tokens, mask=mask, record=act)
         loss = softmax_cross_entropy(logits, labels)
+        if not math.isfinite(loss.data):
+            raise FloatingPointError(f"non-finite loss {float(loss.data)} at step {step}")
         backward(loss, params=params)
         for mid in active:
             mod = supernet.modules[mid]
@@ -155,41 +158,36 @@ def unimportance(criterion: Criterion, theta: float) -> float:
 def rank_modules(group) -> ScoreVector:
     """Rank (id, unimportance) pairs: rank 1 least prunable, rank n most.
 
-    Input may also carry a third raw-theta element per pair. Ties break by
-    (layer, kind) so ranking is a deterministic permutation of 1..n.
+    Ties break by (layer, kind) so ranking is a deterministic permutation
+    of 1..n.
     """
     group = list(group)
     if not group:
         raise ValueError("cannot rank an empty module group")
     ids = [entry[0] for entry in group]
     u = np.array([float(entry[1]) for entry in group])
-    theta = np.array([float(entry[2]) if len(entry) > 2 else np.nan for entry in group])
     order = sorted(range(len(ids)), key=lambda i: (u[i], ids[i].sort_key()))
     ranks = np.empty(len(ids), dtype=int)
     for pos, i in enumerate(order):
         ranks[i] = pos + 1
-    return ScoreVector(ids=ids, theta=theta, unimportance=u, ranks=ranks)
+    return ScoreVector(ids=ids, unimportance=u, ranks=ranks)
 
 
 def score_group(criterion: Criterion, stats_map, ids) -> ScoreVector:
     """Raw scores, unimportance and ranks for one scoring group."""
     ids = sorted(ids, key=PeftModuleId.sort_key)
     crit = resolve_threshold(criterion, [stats_map[m] for m in ids])
-    entries = []
-    for mid in ids:
-        theta = raw_score(crit, stats_map[mid])
-        entries.append((mid, unimportance(crit, theta), theta))
-    return ScoreVector(
-        ids=ids,
-        theta=np.array([e[2] for e in entries]),
-        unimportance=np.array([e[1] for e in entries]),
-        ranks=rank_modules(entries).ranks,
-    )
+    return rank_modules((mid, unimportance(crit, raw_score(crit, stats_map[mid])))
+                        for mid in ids)
+
+
+def top_k(ids, scores, k: int):
+    """The k ids with the highest scores, ties broken by (layer, kind)."""
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i].sort_key()))
+    return [ids[i] for i in order[:k]]
 
 
 def hypothetical_top_k(criterion: Criterion, stats_map, ids, k: int):
     """The k most prunable modules under one criterion; no pruning applied."""
     sv = score_group(criterion, stats_map, ids)
-    order = sorted(range(len(sv.ids)),
-                   key=lambda i: (-sv.unimportance[i], sv.ids[i].sort_key()))
-    return [sv.ids[i] for i in order[: min(k, len(order))]]
+    return top_k(sv.ids, sv.unimportance, k)

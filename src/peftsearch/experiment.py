@@ -89,72 +89,61 @@ class Report:
 # config files
 
 
+# Where each ExperimentConfig field sits in a config document:
+# section ("" is the top level) -> {document key: field}. Defaults live
+# only in ExperimentConfig; a document may leave out any key but task and
+# supernet.
+_LAYOUT = {
+    "": {"task": "task", "supernet": "net", "mode": "mode", "seeds": "seeds",
+         "low_fidelity_fraction": "low_fidelity_fraction", "report_dir": "report_dir"},
+    "schedule": {"budget": "budget", "k": "k", "steps_per_round": "steps_per_round",
+                 "fidelity": "fidelity", "reinit_survivors": "reinit_survivors"},
+    "warmup": {"rounds": "warmup_rounds", "trim_fraction": "trim_fraction"},
+    "training": {"retrain_epochs": "retrain_epochs", "lr": "lr", "batch_size": "batch_size"},
+}
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    return {
-        "task": asdict(config.task),
-        "supernet": S.config_to_dict(config.net),
-        "mode": config.mode,
-        "seeds": list(config.seeds),
-        "schedule": {
-            "budget": config.budget,
-            "k": config.k,
-            "steps_per_round": config.steps_per_round,
-            "fidelity": config.fidelity,
-            "reinit_survivors": config.reinit_survivors,
-        },
-        "warmup": {
-            "rounds": config.warmup_rounds,
-            "trim_fraction": config.trim_fraction,
-        },
-        "low_fidelity_fraction": config.low_fidelity_fraction,
-        "training": {
-            "retrain_epochs": config.retrain_epochs,
-            "lr": config.lr,
-            "batch_size": config.batch_size,
-        },
-        "report_dir": config.report_dir,
-    }
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return section[key]
+    doc = {}
+    for section, keys in _LAYOUT.items():
+        values = doc.setdefault(section, {}) if section else doc
+        for key, name in keys.items():
+            values[key] = getattr(config, name)
+    doc["task"] = asdict(config.task)
+    doc["supernet"] = asdict(config.net)
+    doc["seeds"] = list(config.seeds)
+    return doc
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a mapping")
+    """Parse a config document; unknown keys and non-integer seeds are errors."""
+    fields = {}
+    for section, keys in _LAYOUT.items():
+        # the top level ("") is checked first, so doc is a mapping below it
+        values = doc.get(section, {}) if section else doc
+        where = section or "config"
+        if not isinstance(values, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        allowed = set(keys) if section else set(keys) | set(_LAYOUT)
+        unknown = sorted(set(values) - allowed)
+        if unknown:
+            raise ConfigError(f"unknown key(s) {unknown} in {where}")
+        fields.update((name, values[key]) for key, name in keys.items() if key in values)
+    for name, key, cls in (("task", "task", TK.SyntheticTaskSpec),
+                           ("net", "supernet", S.SupernetConfig)):
+        if name not in fields:
+            raise ConfigError(f"missing key {key!r} in config")
+        try:
+            fields[name] = cls(**fields[name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid {key} section: {exc}") from exc
+    if "seeds" in fields:
+        seeds = fields["seeds"]
+        if not isinstance(seeds, list) or any(type(s) is not int for s in seeds):
+            raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+        fields["seeds"] = tuple(seeds)
     try:
-        task = TK.SyntheticTaskSpec(**_require(doc, "task", "config"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid task section: {exc}") from exc
-    try:
-        net = S.config_from_dict(_require(doc, "supernet", "config"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid supernet section: {exc}") from exc
-    schedule = doc.get("schedule", {})
-    warm = doc.get("warmup", {})
-    training = doc.get("training", {})
-    try:
-        return ExperimentConfig(
-            task=task,
-            net=net,
-            mode=doc.get("mode", "hybrid"),
-            seeds=tuple(doc.get("seeds", [0])),
-            budget=schedule.get("budget"),
-            k=schedule.get("k"),
-            steps_per_round=schedule.get("steps_per_round"),
-            fidelity=schedule.get("fidelity", "full"),
-            reinit_survivors=schedule.get("reinit_survivors", True),
-            warmup_rounds=warm.get("rounds", 3),
-            trim_fraction=warm.get("trim_fraction", 0.1),
-            low_fidelity_fraction=doc.get("low_fidelity_fraction", 0.01),
-            retrain_epochs=training.get("retrain_epochs", 20),
-            lr=training.get("lr", 1e-3),
-            batch_size=training.get("batch_size", 20),
-            report_dir=doc.get("report_dir"),
-        )
+        return ExperimentConfig(**fields)
     except TypeError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
@@ -172,91 +161,94 @@ def load_config(path: str) -> ExperimentConfig:
 # running
 
 
-def _single_tag(mode: str):
-    return mode.split(":", 1)[1] if mode.startswith("single:") else None
+def _architecture_mask(doc: dict, net: S.SupernetConfig) -> S.MaskState:
+    """The mask an architecture document prescribes for ``net``.
+
+    The document's supernet section must equal ``net`` field by field.
+    """
+    arch_cfg, flags = S.architecture_from_doc(doc)
+    theirs, mine = asdict(arch_cfg), asdict(net)
+    diff = [f"{key} {theirs[key]!r} in the document, {mine[key]!r} in the config"
+            for key in mine if theirs[key] != mine[key]]
+    if diff:
+        raise ConfigError("architecture document does not fit the config's supernet: "
+                          + "; ".join(diff))
+    return S.MaskState(flags.keys(), flags)
+
+
+def _mode_strategy(mode: str, table: ST.TendencyTable, partitions, num_layers: int):
+    """(strategy, scoring partitions) that ``mode`` derives from the warm-up
+    table. random-prune has no strategy: its warm-up runs for epoch parity."""
+    if mode == "hybrid":
+        return ST.assign_strategies(table), partitions
+    if mode == "no-partition":
+        return (ST.HybridStrategy({1: ST.global_best_criterion(table)}),
+                [ST.Partition(1, 0, num_layers)])
+    if mode.startswith("single:"):
+        crit = C.Criterion(mode.split(":", 1)[1])
+        return ST.HybridStrategy({p.index: crit for p in partitions}), partitions
+    return None, partitions
+
+
+def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Dataset,
+            result: SeedResult) -> S.MaskState:
+    """Warm-up (unless a strategy was imported) and prune rounds; fills in
+    the result's records, search epochs, strategy and tendency."""
+    k = config.k if config.k is not None else P.default_k(net)
+    warmup_epochs = 0.0
+    if config.strategy_doc is not None:
+        strategy, score_partitions = ST.HybridStrategy.from_doc(config.strategy_doc)
+    else:
+        d_warm = TK.stratified_trim(train, config.trim_fraction, seed)
+        partitions = ST.partition_layers(config.net.num_layers)
+        table = ST.warmup(
+            net,
+            lambda rng: TK.Batcher(d_warm, config.batch_size, rng),
+            -(-len(d_warm) // config.batch_size), C.default_criteria(),
+            config.warmup_rounds, k, partitions, config.lr, seed)
+        # each warm-up round is one pass over d_warm
+        warmup_epochs = config.warmup_rounds * len(d_warm) / len(train)
+        result.tendency = table.to_dict()
+        strategy, score_partitions = _mode_strategy(config.mode, table, partitions,
+                                                    config.net.num_layers)
+
+    if config.mode == "random-prune":
+        scorer = ST.random_scorer()
+    else:
+        scorer = ST.hybrid_scorer(strategy, score_partitions)
+        result.strategy_doc = strategy.to_doc(score_partitions)
+
+    round_data = (TK.stratified_trim(train, config.low_fidelity_fraction, seed)
+                  if config.fidelity == "low" else train)
+    budget = config.budget if config.budget is not None else P.default_budget(net)
+    steps = (config.steps_per_round if config.steps_per_round is not None
+             else -(-len(round_data) // config.batch_size))
+    schedule = P.derive_schedule(budget, net, k, steps, config.fidelity,
+                                 config.reinit_survivors)
+    mask, result.records, result.log = P.run_search(
+        net, train, round_data, scorer, schedule, config.lr, config.batch_size, seed)
+    result.log.warmup_epochs = warmup_epochs
+    return mask
 
 
 def _run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
     net = S.build_supernet(config.net, seed)
     train, val, test = TK.generate_task(config.task)
-    log = P.SearchLog(retrain_epochs=float(config.retrain_epochs))
-
+    result = SeedResult(seed=seed, metrics={}, records=[], log=P.SearchLog())
     if config.architecture_doc is not None:
-        arch_cfg, flags, _ = S.architecture_from_doc(config.architecture_doc)
-        if arch_cfg.num_layers != config.net.num_layers:
-            raise ConfigError(
-                f"architecture document has {arch_cfg.num_layers} layers,"
-                f" config has {config.net.num_layers}")
-        mask = S.MaskState(flags.keys(), flags)
-        records = []
-        strategy_doc = None
-        tendency = None
+        mask = _architecture_mask(config.architecture_doc, config.net)
     elif config.mode == "no-prune":
         mask = net.mask.copy()
-        records = []
-        strategy_doc = None
-        tendency = None
     else:
-        d_warm = TK.stratified_trim(train, config.trim_fraction, seed)
-        partitions = ST.partition_layers(config.net.num_layers)
-        warm_steps = -(-len(d_warm) // config.batch_size)
-        k = config.k if config.k is not None else P.default_k(net)
+        mask = _search(config, seed, net, train, result)
 
-        if config.strategy_doc is not None:
-            strategy, score_partitions = ST.HybridStrategy.from_doc(config.strategy_doc)
-            tendency = None
-        else:
-            table = ST.warmup(
-                net,
-                lambda rng: TK.Batcher(d_warm, config.batch_size, rng),
-                warm_steps, C.default_criteria(), config.warmup_rounds, k,
-                partitions, config.lr, seed)
-            log.warmup_epochs = config.warmup_rounds * warm_steps * min(
-                config.batch_size, len(d_warm)) / len(train)
-            tendency = table.to_dict()
-            if config.mode == "hybrid":
-                strategy = ST.assign_strategies(table)
-                score_partitions = partitions
-            elif config.mode == "no-partition":
-                crit = ST.global_best_criterion(table)
-                score_partitions = [ST.Partition(1, 0, config.net.num_layers)]
-                strategy = ST.HybridStrategy({1: crit})
-            elif _single_tag(config.mode):
-                crit = C.Criterion(_single_tag(config.mode))
-                strategy = ST.HybridStrategy({p.index: crit for p in partitions})
-                score_partitions = partitions
-            else:  # random-prune: warm-up ran for epoch parity, table unused
-                strategy = None
-                score_partitions = partitions
-
-        if config.mode == "random-prune":
-            scorer = ST.random_scorer()
-            strategy_doc = None
-        else:
-            scorer = ST.hybrid_scorer(strategy, score_partitions)
-            strategy_doc = strategy.to_doc(score_partitions)
-
-        budget = config.budget if config.budget is not None else P.default_budget(net)
-        d_low = (TK.stratified_trim(train, config.low_fidelity_fraction, seed)
-                 if config.fidelity == "low" else d_warm)
-        round_data = d_low if config.fidelity == "low" else train
-        steps = (config.steps_per_round if config.steps_per_round is not None
-                 else -(-len(round_data) // config.batch_size))
-        schedule = P.derive_schedule(budget, net, k, steps, config.fidelity,
-                                     config.reinit_survivors)
-        mask, records, search_log = P.run_search(
-            net, train, d_low, scorer, schedule, config.lr, config.batch_size, seed)
-        log.prune_epochs = search_log.prune_epochs
-        log.wall_seconds = search_log.wall_seconds
-
-    metrics = P.retrain(net, mask, train, config.retrain_epochs, config.lr,
-                        config.batch_size, seed, eval_data=test)
-    metrics["val_accuracy"] = P.evaluate(net, val)
-    metrics["trainable_params"] = S.trainable_param_count(net, mask)
-    arch_doc = S.architecture_to_doc(net, mask)
-    return SeedResult(seed=seed, metrics=metrics, records=records, log=log,
-                      strategy_doc=strategy_doc, architecture_doc=arch_doc,
-                      tendency=tendency)
+    result.log.retrain_epochs = float(config.retrain_epochs)
+    result.metrics = P.retrain(net, mask, train, config.retrain_epochs, config.lr,
+                               config.batch_size, seed, eval_data=test)
+    result.metrics["val_accuracy"] = P.evaluate(net, val)
+    result.metrics["trainable_params"] = S.trainable_param_count(net, mask)
+    result.architecture_doc = S.architecture_to_doc(net, mask)
+    return result
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
@@ -351,11 +343,7 @@ def import_strategy(doc: dict, config: ExperimentConfig) -> ExperimentConfig:
 
 
 def import_architecture(doc: dict, config: ExperimentConfig) -> ExperimentConfig:
-    arch_cfg, _, _ = S.architecture_from_doc(doc)
-    if arch_cfg.num_layers != config.net.num_layers:
-        raise ConfigError(
-            f"architecture document has {arch_cfg.num_layers} layers,"
-            f" config has {config.net.num_layers}")
+    _architecture_mask(doc, config.net)
     return replace(config, architecture_doc=doc)
 
 
@@ -364,7 +352,7 @@ def import_architecture(doc: dict, config: ExperimentConfig) -> ExperimentConfig
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(path: str, text: str):

@@ -6,7 +6,7 @@ surviving configuration is retrained from fresh adapter initialization.
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +49,6 @@ class SearchLog:
     warmup_epochs: float = 0.0
     prune_epochs: float = 0.0
     retrain_epochs: float = 0.0
-    wall_seconds: float = 0.0
 
     @property
     def search_epochs(self):
@@ -106,9 +105,7 @@ def derive_schedule(budget: int, supernet: Supernet, k: int, steps_per_round: in
 
 def select_top_k(pv: ProbabilityVector, k: int):
     """The k highest-probability modules, ties broken by (layer, kind)."""
-    order = sorted(range(len(pv.ids)),
-                   key=lambda i: (-pv.p[i], pv.ids[i].sort_key()))
-    return [pv.ids[i] for i in order[: min(k, len(order))]]
+    return C.top_k(pv.ids, pv.p, k)
 
 
 def prune_round(supernet: Supernet, scorer, batches, k: int, steps: int,
@@ -138,7 +135,7 @@ def run_search(supernet: Supernet, full_data: Dataset, trimmed_data: Dataset,
     """Execute the full pruning schedule.
 
     Returns (final MaskState, PruneRecords, SearchLog). Epochs in the log
-    are measured in full-dataset equivalents.
+    are the examples the rounds drew, in full-dataset equivalents.
     """
     ss = np.random.SeedSequence([int(seed), 0x5EA2])
     shuffle_rng, score_rng, reinit_rng = [np.random.default_rng(c) for c in ss.spawn(3)]
@@ -146,15 +143,18 @@ def run_search(supernet: Supernet, full_data: Dataset, trimmed_data: Dataset,
     batcher = Batcher(data, batch_size, shuffle_rng)
     records = []
     log = SearchLog()
-    start = time.perf_counter()
     optimizer = Adam(supernet.trainable_params(), lr=lr)
     for i in range(1, schedule.rounds + 1):
         if supernet.mask.num_active() == 0:
             break
-        record = prune_round(supernet, scorer, batcher, schedule.k,
-                             schedule.steps_per_round, optimizer, score_rng, i)
+        served = batcher.served
+        try:
+            record = prune_round(supernet, scorer, batcher, schedule.k,
+                                 schedule.steps_per_round, optimizer, score_rng, i)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"prune round {i}, seed {seed}: {exc}") from None
         records.append(record)
-        log.prune_epochs += schedule.steps_per_round * batcher.batch_size / len(full_data)
+        log.prune_epochs += (batcher.served - served) / len(full_data)
         done = (i == schedule.rounds
                 or record.param_count_after <= schedule.budget
                 or supernet.mask.num_active() == 0)
@@ -165,7 +165,6 @@ def run_search(supernet: Supernet, full_data: Dataset, trimmed_data: Dataset,
                 S.reinitialize(supernet.modules[mid], reinit_rng)
         # surviving parameter set changed; restart optimizer state
         optimizer = Adam(supernet.trainable_params(), lr=lr)
-    log.wall_seconds = time.perf_counter() - start
     final_count = trainable_param_count(supernet)
     if schedule.rounds > 0 and final_count > schedule.budget:
         raise RuntimeError(
@@ -198,11 +197,14 @@ def retrain(supernet: Supernet, mask: MaskState, train_data: Dataset, epochs: in
     batcher = Batcher(train_data, batch_size, shuffle_rng)
     steps = batcher.steps_per_epoch()
     loss_curve = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         epoch_loss = 0.0
         for _ in range(steps):
             tokens, labels = next(batcher)
             loss = softmax_cross_entropy(supernet.forward(tokens), labels)
+            if not math.isfinite(loss.data):
+                raise FloatingPointError(f"retrain, seed {seed}: non-finite loss"
+                                         f" {float(loss.data)} in epoch {epoch}")
             backward(loss, params=params)
             optimizer.step()
             epoch_loss += float(loss.data)

@@ -141,7 +141,10 @@ def warmup(supernet: Supernet, batcher_factory, steps_per_round: int, candidates
     try:
         for _ in range(rounds):
             batches = batcher_factory(rng)
-            stats, _ = C.collect_stats(supernet, batches, steps_per_round, optimizer)
+            try:
+                stats, _ = C.collect_stats(supernet, batches, steps_per_round, optimizer)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"warm-up, seed {seed}: {exc}") from None
             active = supernet.mask.active_ids()
             for crit in candidates:
                 for mid in C.hypothetical_top_k(crit, stats, active, k):
@@ -153,6 +156,8 @@ def warmup(supernet: Supernet, batcher_factory, steps_per_round: int, candidates
 
 def concentrations(table: TendencyTable) -> np.ndarray:
     """Share of each criterion's pruning mass per partition."""
+    if table.total() == 0:
+        raise ValueError("tendency table is empty; nothing to assign")
     per_crit = table.counts.sum(axis=2).astype(float)  # (criteria, partitions)
     totals = per_crit.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -160,18 +165,19 @@ def concentrations(table: TendencyTable) -> np.ndarray:
     return conc
 
 
+def _best_criterion(tags, values) -> C.Criterion:
+    """The tag with the largest value; ties go to the earlier tag in
+    CRITERIA_ORDER."""
+    best = max(range(len(tags)),
+               key=lambda ci: (values[ci], -C.CRITERIA_ORDER.index(tags[ci])))
+    return C.Criterion(tags[best])
+
+
 def assign_strategies(table: TendencyTable) -> HybridStrategy:
     """Pick, per partition, the criterion most concentrated on it."""
-    if table.total() == 0:
-        raise ValueError("tendency table is empty; nothing to assign")
     conc = concentrations(table)
-    order = {tag: i for i, tag in enumerate(C.CRITERIA_ORDER)}
-    assignment = {}
-    for p in range(table.num_partitions):
-        best = max(range(len(table.criteria)),
-                   key=lambda ci: (conc[ci, p], -order[table.criteria[ci]]))
-        assignment[p + 1] = C.Criterion(table.criteria[best])
-    return HybridStrategy(assignment)
+    return HybridStrategy({p + 1: _best_criterion(table.criteria, conc[:, p])
+                           for p in range(table.num_partitions)})
 
 
 def global_best_criterion(table: TendencyTable) -> C.Criterion:
@@ -180,13 +186,7 @@ def global_best_criterion(table: TendencyTable) -> C.Criterion:
     Used by the no-partition ablation: the tendency measurement still uses
     blocks, but one criterion is applied globally.
     """
-    if table.total() == 0:
-        raise ValueError("tendency table is empty; nothing to assign")
-    conc = concentrations(table)
-    order = {tag: i for i, tag in enumerate(C.CRITERIA_ORDER)}
-    best = max(range(len(table.criteria)),
-               key=lambda ci: (conc[ci].max(), -order[table.criteria[ci]]))
-    return C.Criterion(table.criteria[best])
+    return _best_criterion(table.criteria, concentrations(table).max(axis=1))
 
 
 def _minmax_normalize(u: np.ndarray) -> np.ndarray:

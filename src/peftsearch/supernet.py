@@ -9,7 +9,7 @@ both adapters reproduces the plain backbone bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,8 +80,6 @@ class PeftModule:
 
     def __init__(self, module_id: PeftModuleId, d_model: int, bottleneck: int, rng):
         self.id = module_id
-        self.d_model = d_model
-        self.bottleneck = bottleneck
         self.w_down = Tensor(np.zeros((d_model, bottleneck)), requires_grad=True)
         self.w_up = Tensor(np.zeros((bottleneck, d_model)), requires_grad=True)
         reinitialize(self, rng)
@@ -127,9 +125,6 @@ class MaskState:
 
     def __len__(self):
         return len(self._flags)
-
-    def __contains__(self, mid):
-        return mid in self._flags
 
     def ids(self):
         return list(self._flags.keys())
@@ -303,19 +298,20 @@ class Supernet:
     def predict(self, tokens: np.ndarray, mask: MaskState | None = None) -> np.ndarray:
         return self.forward(tokens, mask=mask).data.argmax(axis=1)
 
+    def _all_trainable(self):
+        """Every adapter array, masked or not, then the head."""
+        params = []
+        for mid in sorted(self.modules, key=PeftModuleId.sort_key):
+            params.extend(self.modules[mid].params())
+        params.extend(self.head_params())
+        return params
+
     def snapshot_trainable(self):
         """Copies of every adapter and head array, for later restore."""
-        params = []
-        for mid in sorted(self.modules, key=PeftModuleId.sort_key):
-            params.extend(self.modules[mid].params())
-        params.extend(self.head_params())
-        return [p.data.copy() for p in params]
+        return [p.data.copy() for p in self._all_trainable()]
 
     def restore_trainable(self, snapshot):
-        params = []
-        for mid in sorted(self.modules, key=PeftModuleId.sort_key):
-            params.extend(self.modules[mid].params())
-        params.extend(self.head_params())
+        params = self._all_trainable()
         if len(snapshot) != len(params):
             raise ValueError("snapshot does not match parameter list")
         for p, s in zip(params, snapshot):
@@ -378,50 +374,20 @@ def build_supernet(config: SupernetConfig, seed: int) -> Supernet:
 # architecture documents
 
 
-def config_to_dict(config: SupernetConfig) -> dict:
-    return {
-        "num_layers": config.num_layers,
-        "d_model": config.d_model,
-        "num_heads": config.num_heads,
-        "d_ff": config.d_ff,
-        "sa_bottleneck": config.sa_bottleneck,
-        "pa_rank": config.pa_rank,
-        "vocab_size": config.vocab_size,
-        "num_classes": config.num_classes,
-        "max_seq_len": config.max_seq_len,
-        "pa_linear": config.pa_linear,
-        "activation": config.activation,
-    }
-
-
-def config_from_dict(doc: dict) -> SupernetConfig:
-    return SupernetConfig(**doc)
-
-
-def architecture_to_doc(supernet: Supernet, mask: MaskState | None = None,
-                        include_weights: bool = False) -> dict:
+def architecture_to_doc(supernet: Supernet, mask: MaskState | None = None) -> dict:
     mask = mask or supernet.mask
-    doc = {
-        "config": config_to_dict(supernet.config),
+    return {
+        "config": asdict(supernet.config),
         "modules": [
             {"layer": mid.layer, "kind": mid.kind, "active": mask.is_active(mid)}
             for mid in sorted(supernet.modules, key=PeftModuleId.sort_key)
         ],
     }
-    if include_weights:
-        doc["weights"] = {
-            str(mid): {
-                "w_down": supernet.modules[mid].w_down.data.tolist(),
-                "w_up": supernet.modules[mid].w_up.data.tolist(),
-            }
-            for mid in sorted(supernet.modules, key=PeftModuleId.sort_key)
-        }
-    return doc
 
 
 def architecture_from_doc(doc: dict):
-    """Returns (config, flags dict, weights-or-None)."""
-    config = config_from_dict(doc["config"])
+    """Returns (config, flags dict)."""
+    config = SupernetConfig(**doc["config"])
     expected = set(config.module_ids())
     flags = {}
     for entry in doc["modules"]:
@@ -431,4 +397,4 @@ def architecture_from_doc(doc: dict):
         flags[mid] = bool(entry["active"])
     if set(flags) != expected:
         raise ValueError("architecture document does not cover every module")
-    return config, flags, doc.get("weights")
+    return config, flags

@@ -41,7 +41,6 @@ class SyntheticTaskSpec:
 class Dataset:
     tokens: np.ndarray  # (n, seq_len) int
     labels: np.ndarray  # (n,) int
-    split: str
 
     def __len__(self):
         return len(self.labels)
@@ -117,8 +116,7 @@ def generate_task(spec: SyntheticTaskSpec):
     gen = _GEN_FN[spec.generator]
     seen = set()
     out = []
-    sizes = {"train": spec.train_size, "val": spec.val_size, "test": spec.test_size}
-    for si, (split, n) in enumerate(sizes.items()):
+    for si, n in enumerate((spec.train_size, spec.val_size, spec.test_size)):
         rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed), si]))
         labels = _balanced_labels(n, spec.num_classes)
         tokens = np.empty((n, spec.seq_len), dtype=int)
@@ -132,7 +130,7 @@ def generate_task(spec: SyntheticTaskSpec):
                     break
             else:
                 raise ValueError("could not generate enough distinct sequences")
-        out.append(Dataset(tokens=tokens, labels=labels, split=split))
+        out.append(Dataset(tokens=tokens, labels=labels))
     return tuple(out)
 
 
@@ -151,12 +149,15 @@ def stratified_trim(dataset: Dataset, fraction: float, seed: int) -> Dataset:
         keep.append(rng.choice(idx, size=m, replace=False))
     keep = np.sort(np.concatenate(keep))
     return Dataset(tokens=dataset.tokens[keep].copy(),
-                   labels=dataset.labels[keep].copy(),
-                   split=dataset.split)
+                   labels=dataset.labels[keep].copy())
 
 
 class Batcher:
-    """Cycling minibatch iterator with a fresh shuffle each epoch."""
+    """Cycling minibatch iterator with a fresh shuffle each epoch.
+
+    The last batch of an epoch is short when the batch size does not
+    divide the dataset; ``served`` counts the examples handed out so far.
+    """
 
     def __init__(self, dataset: Dataset, batch_size: int, rng):
         if batch_size < 1:
@@ -166,6 +167,7 @@ class Batcher:
         self.rng = rng
         self._order = None
         self._pos = 0
+        self.served = 0
 
     def steps_per_epoch(self) -> int:
         return -(-len(self.dataset) // self.batch_size)
@@ -179,4 +181,5 @@ class Batcher:
             self._pos = 0
         idx = self._order[self._pos: self._pos + self.batch_size]
         self._pos += self.batch_size
+        self.served += len(idx)
         return self.dataset.tokens[idx], self.dataset.labels[idx]

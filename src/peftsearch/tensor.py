@@ -8,7 +8,6 @@ criteria. No broadcasting beyond bias-style adds, no views, no GPU.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,32 +48,6 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
-class Tape:
-    """Reverse-replay schedule: every recorded op exactly once, in reverse."""
-
-    def __init__(self, nodes):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Tape":
-        order = []
-        seen = set()
-        stack = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
-        return cls(order)
-
-
 def backward(loss: Tensor, params=()):
     """Populate gradient slots of everything reachable from ``loss``.
 
@@ -82,13 +55,28 @@ def backward(loss: Tensor, params=()):
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    tape = Tape.trace(loss)
-    for t in tape.nodes:
+    # iterative post-order DFS: every node after all of its parents
+    order = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    for t in order:
         t.grad = None
     for p in params:
         p.grad = np.zeros_like(p.data)
     loss.grad = np.ones_like(loss.data)
-    for t in reversed(tape.nodes):
+    for t in reversed(order):
         if t._backward_fn is None or t.grad is None:
             continue
         needs = tuple(_needs_grad(p) for p in t._parents)
@@ -340,47 +328,30 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 # optimizer
 
 
-@dataclass
-class AdamState:
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    step: int = 0
-
-
-def adam_step(params, grads, state: AdamState, lr, betas=(0.9, 0.999), eps=1e-8):
-    """One Adam update in place on ``params`` (list of Tensors)."""
-    if not state.m:
-        state.m = [np.zeros_like(p.data) for p in params]
-        state.v = [np.zeros_like(p.data) for p in params]
-    if len(state.m) != len(params):
-        raise ValueError("optimizer state does not match parameter list")
-    b1, b2 = betas
-    state.step += 1
-    t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g is None:
-            g = np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ValueError("gradient shape does not match parameter")
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        mhat = m / (1 - b1**t)
-        vhat = v / (1 - b2**t)
-        p.data -= lr * mhat / (np.sqrt(vhat) + eps)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Stateful wrapper around :func:`adam_step` reading ``p.grad``."""
+    """Adam over a fixed parameter list, reading each ``p.grad``."""
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.state = AdamState()
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.t = 0
 
     def step(self):
-        grads = [p.grad for p in self.params]
-        adam_step(self.params, grads, self.state, self.lr, self.betas, self.eps)
+        """One update in place; a parameter without a gradient sees zero."""
+        self.t += 1
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            if g.shape != p.data.shape:
+                raise ValueError("gradient shape does not match parameter")
+            m *= _BETA1
+            m += (1 - _BETA1) * g
+            v *= _BETA2
+            v += (1 - _BETA2) * g * g
+            mhat = m / (1 - _BETA1**self.t)
+            vhat = v / (1 - _BETA2**self.t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + _EPS)

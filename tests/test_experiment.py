@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 
 from peftsearch import cli
 from peftsearch import experiment as E
+from peftsearch import pruner as P
 from peftsearch import supernet as S
 from peftsearch import tasks as TK
 
@@ -51,7 +53,7 @@ class TestConfigFiles:
 
     def test_missing_task_section_reported(self):
         with pytest.raises(E.ConfigError, match="task"):
-            E.config_from_dict({"supernet": S.config_to_dict(NET)})
+            E.config_from_dict({"supernet": dataclasses.asdict(NET)})
 
     def test_invalid_supernet_section_reported(self):
         doc = E.config_to_dict(make_config())
@@ -64,6 +66,46 @@ class TestConfigFiles:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(E.ConfigError, match="JSON"):
             E.load_config(str(path))
+
+    def test_layout_names_every_field_once(self):
+        names = [name for keys in E._LAYOUT.values() for name in keys.values()]
+        fields = [f.name for f in dataclasses.fields(E.ExperimentConfig)
+                  if f.name not in ("strategy_doc", "architecture_doc")]
+        assert sorted(names) == sorted(fields)
+
+    def test_round_trip_with_every_field_changed(self):
+        cfg = make_config(
+            task=TK.SyntheticTaskSpec("u", 14, 6, 2, "pattern-presence", 30, 6, 10, 8),
+            net=S.SupernetConfig(5, 32, 4, 24, 6, 3, 14, 2, 6, pa_linear=True,
+                                 activation="relu"),
+            mode="single:zeros", seeds=(4, 9), budget=700, k=3, steps_per_round=2,
+            fidelity="low", reinit_survivors=False, warmup_rounds=2, trim_fraction=0.4,
+            low_fidelity_fraction=0.3, retrain_epochs=7, lr=2e-3, batch_size=12,
+            report_dir="runs/x")
+        defaults = E.ExperimentConfig(task=TASK, net=NET)
+        changed = [f.name for f in dataclasses.fields(cfg)
+                   if getattr(cfg, f.name) != getattr(defaults, f.name)]
+        assert len(changed) == len(dataclasses.fields(cfg)) - 2
+        assert E.config_from_dict(E.config_to_dict(cfg)) == cfg
+
+    def test_misspelled_section_key_rejected(self):
+        doc = E.config_to_dict(make_config())
+        doc["training"] = {"retrian_epochs": 1}
+        with pytest.raises(E.ConfigError, match="retrian_epochs"):
+            E.config_from_dict(doc)
+
+    def test_unknown_top_level_key_rejected(self):
+        doc = E.config_to_dict(make_config())
+        doc["schedul"] = doc.pop("schedule")
+        with pytest.raises(E.ConfigError, match="schedul"):
+            E.config_from_dict(doc)
+
+    @pytest.mark.parametrize("seeds", ["01", [0, "1"], [1.0], [True], 3])
+    def test_non_integer_seeds_rejected(self, seeds):
+        doc = E.config_to_dict(make_config())
+        doc["seeds"] = seeds
+        with pytest.raises(E.ConfigError, match="seeds"):
+            E.config_from_dict(doc)
 
     def test_load_config_reads_file(self, tmp_path):
         cfg = make_config()
@@ -251,6 +293,56 @@ class TestCli:
                          "--out", str(transferred)]) == 0
         doc = json.loads((transferred / "strategy.json").read_text())
         assert doc == json.loads(strategy.read_text())
+
+    def test_diverging_run_fails_without_a_report(self, tmp_path, capsys):
+        config = self._write_config(tmp_path, lr=1e4)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FloatingPointError"
+        assert "non-finite loss" in err["message"] and "seed 0" in err["message"]
+        assert not (out / "report.json").exists()
+
+    def test_import_arch_of_another_width_fails_without_a_report(self, tmp_path, capsys):
+        config = self._write_config(tmp_path, net=dataclasses.replace(NET, d_model=64))
+        narrow = S.build_supernet(dataclasses.replace(NET, d_model=32), 0)
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(S.architecture_to_doc(narrow)), encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["import-arch", "--config", config, "--arch", str(arch),
+                         "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "d_model" in err["message"]
+        assert not out.exists()
+
+    def test_epochs_count_the_examples_served(self, tmp_path, capsys, monkeypatch):
+        # 50 examples in batches of 20: every epoch ends with a short batch
+        config = self._write_config(tmp_path, task=dataclasses.replace(TASK, train_size=50))
+        served = {"search": 0, "retrain": 0}
+        phase = ["search"]
+        next_batch, retrain = TK.Batcher.__next__, P.retrain
+
+        def counted_next(batcher):
+            tokens, labels = next_batch(batcher)
+            served[phase[0]] += len(labels)
+            return tokens, labels
+
+        def phased_retrain(*args, **kwargs):
+            phase[0] = "retrain"
+            try:
+                return retrain(*args, **kwargs)
+            finally:
+                phase[0] = "search"
+
+        monkeypatch.setattr(TK.Batcher, "__next__", counted_next)
+        monkeypatch.setattr(P, "retrain", phased_retrain)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        epochs = summary["per_seed_epochs"]["0"]
+        assert served["search"] > 0
+        assert epochs["search_total"] * 50 == pytest.approx(served["search"])
+        assert epochs["retrain"] * 50 == served["retrain"]
 
     def test_report_reemission_round_trips(self, tmp_path, capsys):
         config = self._write_config(tmp_path)

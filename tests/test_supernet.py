@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -193,17 +195,9 @@ class TestArchitectureDocs:
         net.mask.deactivate(S.PeftModuleId(1, "PA"))
         net.mask.deactivate(S.PeftModuleId(3, "SA"))
         doc = S.architecture_to_doc(net)
-        cfg, flags, weights = S.architecture_from_doc(doc)
+        cfg, flags = S.architecture_from_doc(doc)
         assert cfg == net.config
         assert flags == net.mask.flags()
-        assert weights is None
-
-    def test_round_trip_with_weights(self, net):
-        doc = S.architecture_to_doc(net, include_weights=True)
-        _, _, weights = S.architecture_from_doc(doc)
-        mid = S.PeftModuleId(0, "SA")
-        assert np.array_equal(np.array(weights[str(mid)]["w_down"]),
-                              net.modules[mid].w_down.data)
 
     def test_incomplete_document_rejected(self, net):
         doc = S.architecture_to_doc(net)
@@ -219,4 +213,4 @@ class TestArchitectureDocs:
 
     def test_config_dict_round_trip(self):
         cfg = small_config(pa_linear=True, activation="relu")
-        assert S.config_from_dict(S.config_to_dict(cfg)) == cfg
+        assert S.SupernetConfig(**asdict(cfg)) == cfg

@@ -186,26 +186,30 @@ class TestLayerNormAndSoftmax:
 
 
 class TestAdam:
+    @staticmethod
+    def _step(opt, *grads):
+        for p, g in zip(opt.params, grads):
+            p.grad = np.asarray(g, dtype=np.float64)
+        opt.step()
+
     def test_zero_gradient_leaves_params_unchanged(self):
         p = T.Tensor([1.0, -2.0], requires_grad=True)
-        state = T.AdamState()
-        T.adam_step([p], [np.zeros(2)], state, lr=0.1)
+        self._step(T.Adam([p], lr=0.1), np.zeros(2))
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_moves_against_gradient_sign(self):
         p = T.Tensor([1.0, 1.0, 1.0], requires_grad=True)
-        g = np.array([0.3, -2.0, 0.0])
-        T.adam_step([p], [g], T.AdamState(), lr=0.01)
+        self._step(T.Adam([p], lr=0.01), [0.3, -2.0, 0.0])
         assert p.data[0] < 1.0
         assert p.data[1] > 1.0
         assert p.data[2] == 1.0
 
     def test_two_steps_reduce_quadratic_loss(self):
         p = T.Tensor([3.0, -4.0], requires_grad=True)
-        state = T.AdamState()
+        opt = T.Adam([p], lr=0.05)
         loss0 = float((p.data**2).sum())
         for _ in range(2):
-            T.adam_step([p], [2 * p.data], state, lr=0.05)
+            self._step(opt, 2 * p.data)
         assert float((p.data**2).sum()) < loss0
 
     def test_optimizer_wrapper_reads_grads(self):
