@@ -32,8 +32,7 @@ def _apply_overrides(config, args):
 def _run_and_emit(config):
     if not config.report_dir:
         raise E.ConfigError("no report directory: set report_dir or pass --out")
-    report = E.run_experiment(config)
-    doc = E.report_to_dict(report)
+    doc = E.run_experiment(config)
     E.emit_reports(doc, config.report_dir)
     summary = E.epoch_summary(doc)
     accs = [sr["metrics"].get("accuracy") for sr in doc["per_seed"]]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .supernet import MaskState, PeftModuleId, Supernet
+from .supernet import PeftModuleId, Supernet
 from .tensor import Adam, backward, softmax_cross_entropy
 
 WEIGHT = "weight"
@@ -72,8 +72,7 @@ class ScoreVector:
     ranks: np.ndarray  # 1-based, ascending unimportance; ties by (layer, kind)
 
 
-def collect_stats(supernet: Supernet, batches, steps: int, optimizer: Adam,
-                  mask: MaskState | None = None):
+def collect_stats(supernet: Supernet, batches, steps: int, optimizer: Adam):
     """Train ``steps`` optimizer steps, accumulating per-module statistics.
 
     ``batches`` yields (tokens, labels). Returns (stats map, loss list).
@@ -81,8 +80,7 @@ def collect_stats(supernet: Supernet, batches, steps: int, optimizer: Adam,
     """
     if steps <= 0:
         raise ValueError("stats collection needs at least one step")
-    mask = mask or supernet.mask
-    active = mask.active_ids()
+    active = supernet.mask.active_ids()
     acc_g = {mid: np.zeros(supernet.module_size(mid)) for mid in active}
     acc_wg = {mid: np.zeros(supernet.module_size(mid)) for mid in active}
     act = {}
@@ -90,7 +88,7 @@ def collect_stats(supernet: Supernet, batches, steps: int, optimizer: Adam,
     params = optimizer.params
     for step in range(1, steps + 1):
         tokens, labels = next(batches)
-        logits = supernet.forward(tokens, mask=mask, record=act)
+        logits = supernet.forward(tokens, record=act)
         loss = softmax_cross_entropy(logits, labels)
         if not math.isfinite(loss.data):
             raise FloatingPointError(f"non-finite loss {float(loss.data)} at step {step}")

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 from . import criteria as C
 from . import pruner as P
@@ -65,24 +65,6 @@ class ExperimentConfig:
             raise ConfigError("trim fractions must lie in (0, 1]")
         if self.retrain_epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise ConfigError("invalid training parameters")
-
-
-@dataclass
-class SeedResult:
-    seed: int
-    metrics: dict
-    records: list
-    log: P.SearchLog
-    strategy_doc: dict | None = None
-    architecture_doc: dict | None = None
-    tendency: dict | None = None
-
-
-@dataclass
-class Report:
-    config: dict
-    mode: str
-    per_seed: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +158,22 @@ def _architecture_mask(doc: dict, net: S.SupernetConfig) -> S.MaskState:
     return S.MaskState(flags.keys(), flags)
 
 
+def _strategy_partitions(doc: dict, num_layers: int):
+    """(strategy, scoring partitions) of a strategy document. The partitions
+    must be numbered 1..n and tile [0, num_layers) in order."""
+    strategy, partitions = ST.HybridStrategy.from_doc(doc)
+    # each partition starts where the one before it ends; the last ends at num_layers
+    edges = [0] + [p.hi for p in partitions]
+    numbered = [p.index for p in partitions] == list(range(1, len(partitions) + 1))
+    tiled = ([p.lo for p in partitions] == edges[:-1] and edges[-1] == num_layers
+             and all(lo < hi for lo, hi in zip(edges, edges[1:])))
+    if not (numbered and tiled):
+        found = ", ".join(f"{p.index}: [{p.lo}, {p.hi})" for p in partitions)
+        raise ConfigError(f"strategy partitions ({found}) must be numbered 1..n and"
+                          f" tile the layers [0, {num_layers}) in order")
+    return strategy, partitions
+
+
 def _mode_strategy(mode: str, table: ST.TendencyTable, partitions, num_layers: int):
     """(strategy, scoring partitions) that ``mode`` derives from the warm-up
     table. random-prune has no strategy: its warm-up runs for epoch parity."""
@@ -191,13 +189,14 @@ def _mode_strategy(mode: str, table: ST.TendencyTable, partitions, num_layers: i
 
 
 def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Dataset,
-            result: SeedResult) -> S.MaskState:
-    """Warm-up (unless a strategy was imported) and prune rounds; fills in
-    the result's records, search epochs, strategy and tendency."""
+            result: dict):
+    """Warm-up (unless a strategy was imported) and prune rounds, leaving the
+    result in ``net.mask``; fills in records, epochs, strategy and tendency."""
     k = config.k if config.k is not None else P.default_k(net)
     warmup_epochs = 0.0
     if config.strategy_doc is not None:
-        strategy, score_partitions = ST.HybridStrategy.from_doc(config.strategy_doc)
+        strategy, score_partitions = _strategy_partitions(config.strategy_doc,
+                                                          config.net.num_layers)
     else:
         d_warm = TK.stratified_trim(train, config.trim_fraction, seed)
         partitions = ST.partition_layers(config.net.num_layers)
@@ -208,7 +207,7 @@ def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Data
             config.warmup_rounds, k, partitions, config.lr, seed)
         # each warm-up round is one pass over d_warm
         warmup_epochs = config.warmup_rounds * len(d_warm) / len(train)
-        result.tendency = table.to_dict()
+        result["tendency"] = table.to_dict()
         strategy, score_partitions = _mode_strategy(config.mode, table, partitions,
                                                     config.net.num_layers)
 
@@ -216,46 +215,48 @@ def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Data
         scorer = ST.random_scorer()
     else:
         scorer = ST.hybrid_scorer(strategy, score_partitions)
-        result.strategy_doc = strategy.to_doc(score_partitions)
+        result["strategy"] = strategy.to_doc(score_partitions)
 
     round_data = (TK.stratified_trim(train, config.low_fidelity_fraction, seed)
                   if config.fidelity == "low" else train)
     budget = config.budget if config.budget is not None else P.default_budget(net)
     steps = (config.steps_per_round if config.steps_per_round is not None
              else -(-len(round_data) // config.batch_size))
-    schedule = P.derive_schedule(budget, net, k, steps, config.fidelity,
-                                 config.reinit_survivors)
-    mask, result.records, result.log = P.run_search(
-        net, train, round_data, scorer, schedule, config.lr, config.batch_size, seed)
-    result.log.warmup_epochs = warmup_epochs
-    return mask
+    schedule = P.derive_schedule(budget, net, k, steps, config.reinit_survivors)
+    records, served = P.run_search(net, round_data, scorer, schedule, config.lr,
+                                   config.batch_size, seed)
+    result["records"] = [_record_to_dict(r) for r in records]
+    # epochs count the examples the batcher served, in training-split units
+    prune_epochs = sum((n / len(train) for n in served), 0.0)
+    result["epochs"].update(warmup=warmup_epochs, prune=prune_epochs,
+                            search_total=warmup_epochs + prune_epochs)
 
 
-def _run_seed(config: ExperimentConfig, seed: int) -> SeedResult:
+def _run_seed(config: ExperimentConfig, seed: int) -> dict:
+    """One seed's report: search (unless imported or no-prune), then retrain."""
     net = S.build_supernet(config.net, seed)
     train, val, test = TK.generate_task(config.task)
-    result = SeedResult(seed=seed, metrics={}, records=[], log=P.SearchLog())
+    result = {"seed": seed, "records": [], "strategy": None, "tendency": None,
+              "epochs": {"warmup": 0.0, "prune": 0.0, "search_total": 0.0,
+                         "retrain": float(config.retrain_epochs)}}
     if config.architecture_doc is not None:
-        mask = _architecture_mask(config.architecture_doc, config.net)
-    elif config.mode == "no-prune":
-        mask = net.mask.copy()
-    else:
-        mask = _search(config, seed, net, train, result)
+        net.apply_mask(_architecture_mask(config.architecture_doc, config.net))
+    elif config.mode != "no-prune":
+        _search(config, seed, net, train, result)
 
-    result.log.retrain_epochs = float(config.retrain_epochs)
-    result.metrics = P.retrain(net, mask, train, config.retrain_epochs, config.lr,
-                               config.batch_size, seed, eval_data=test)
-    result.metrics["val_accuracy"] = P.evaluate(net, val)
-    result.metrics["trainable_params"] = S.trainable_param_count(net, mask)
-    result.architecture_doc = S.architecture_to_doc(net, mask)
+    metrics = P.retrain(net, train, config.retrain_epochs, config.lr,
+                        config.batch_size, seed, eval_data=test)
+    metrics["val_accuracy"] = P.evaluate(net, val)
+    metrics["trainable_params"] = S.trainable_param_count(net)
+    result["metrics"] = metrics
+    result["architecture"] = S.architecture_to_doc(net)
     return result
 
 
-def run_experiment(config: ExperimentConfig) -> Report:
-    report = Report(config=config_to_dict(config), mode=config.mode)
-    for seed in config.seeds:
-        report.per_seed.append(_run_seed(config, int(seed)))
-    return report
+def run_experiment(config: ExperimentConfig) -> dict:
+    """The report document: {"config", "mode", "per_seed"}."""
+    return {"config": config_to_dict(config), "mode": config.mode,
+            "per_seed": [_run_seed(config, int(seed)) for seed in config.seeds]}
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +275,6 @@ def _record_to_dict(rec: P.PruneRecord) -> dict:
         ],
         "param_count_after": rec.param_count_after,
     }
-
-
-def report_to_dict(report: Report) -> dict:
-    per_seed = []
-    for sr in report.per_seed:
-        per_seed.append({
-            "seed": sr.seed,
-            "metrics": sr.metrics,
-            "records": [_record_to_dict(r) for r in sr.records],
-            "epochs": {
-                "warmup": sr.log.warmup_epochs,
-                "prune": sr.log.prune_epochs,
-                "search_total": sr.log.search_epochs,
-                "retrain": sr.log.retrain_epochs,
-            },
-            "strategy": sr.strategy_doc,
-            "architecture": sr.architecture_doc,
-            "tendency": sr.tendency,
-        })
-    return {"config": report.config, "mode": report.mode, "per_seed": per_seed}
 
 
 def frequency_counts(report_doc: dict) -> dict:
@@ -338,7 +319,7 @@ def export_architecture(report_doc: dict) -> dict:
 
 
 def import_strategy(doc: dict, config: ExperimentConfig) -> ExperimentConfig:
-    ST.HybridStrategy.from_doc(doc)  # validates criterion tags
+    _strategy_partitions(doc, config.net.num_layers)
     return replace(config, strategy_doc=doc)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import criteria as C
 from . import supernet as S
-from .supernet import MaskState, PeftModuleId, Supernet, trainable_param_count
+from .supernet import Supernet, trainable_param_count
 from .strategy import ProbabilityVector
 from .tasks import Batcher, Dataset
 from .tensor import Adam, backward, softmax_cross_entropy
@@ -25,12 +25,9 @@ class PruneSchedule:
     rounds: int
     k: int
     steps_per_round: int
-    fidelity: str = "full"  # "full" trains rounds on D, "low" on trimmed d
     reinit_survivors: bool = True
 
     def __post_init__(self):
-        if self.fidelity not in ("full", "low"):
-            raise ValueError(f"fidelity must be 'full' or 'low', got {self.fidelity!r}")
         if self.rounds >= 1 and (self.k < 1 or self.steps_per_round < 1):
             raise ValueError("k and steps_per_round must be positive")
 
@@ -42,17 +39,6 @@ class PruneRecord:
     probabilities: ProbabilityVector
     param_count_after: int
     criterion_by_module: dict = field(default_factory=dict)
-
-
-@dataclass
-class SearchLog:
-    warmup_epochs: float = 0.0
-    prune_epochs: float = 0.0
-    retrain_epochs: float = 0.0
-
-    @property
-    def search_epochs(self):
-        return self.warmup_epochs + self.prune_epochs
 
 
 def default_k(supernet: Supernet) -> int:
@@ -70,7 +56,7 @@ def default_budget(supernet: Supernet) -> int:
 
 
 def derive_schedule(budget: int, supernet: Supernet, k: int, steps_per_round: int,
-                    fidelity: str = "full", reinit_survivors: bool = True) -> PruneSchedule:
+                    reinit_survivors: bool = True) -> PruneSchedule:
     """Smallest round count guaranteed to reach the budget.
 
     Uses a pessimistic smallest-module-first simulation, so the actual
@@ -84,7 +70,7 @@ def derive_schedule(budget: int, supernet: Supernet, k: int, steps_per_round: in
     count = trainable_param_count(supernet)
     if budget >= count:
         return PruneSchedule(budget=budget, rounds=0, k=k,
-                             steps_per_round=steps_per_round, fidelity=fidelity,
+                             steps_per_round=steps_per_round,
                              reinit_survivors=reinit_survivors)
     sizes = sorted(supernet.module_size(m) for m in supernet.mask.active_ids())
     rounds = 0
@@ -99,7 +85,7 @@ def derive_schedule(budget: int, supernet: Supernet, k: int, steps_per_round: in
             count -= sizes[i]
             i += 1
     return PruneSchedule(budget=budget, rounds=rounds, k=k,
-                         steps_per_round=steps_per_round, fidelity=fidelity,
+                         steps_per_round=steps_per_round,
                          reinit_survivors=reinit_survivors)
 
 
@@ -129,32 +115,30 @@ def prune_round(supernet: Supernet, scorer, batches, k: int, steps: int,
     )
 
 
-def run_search(supernet: Supernet, full_data: Dataset, trimmed_data: Dataset,
-               scorer, schedule: PruneSchedule, lr: float, batch_size: int,
-               seed: int):
-    """Execute the full pruning schedule.
+def run_search(supernet: Supernet, data: Dataset, scorer, schedule: PruneSchedule,
+               lr: float, batch_size: int, seed: int):
+    """Execute the full pruning schedule, training every round on ``data``.
 
-    Returns (final MaskState, PruneRecords, SearchLog). Epochs in the log
-    are the examples the rounds drew, in full-dataset equivalents.
+    Leaves the final configuration in ``supernet.mask``. Returns
+    (PruneRecords, the number of examples each round drew).
     """
     ss = np.random.SeedSequence([int(seed), 0x5EA2])
     shuffle_rng, score_rng, reinit_rng = [np.random.default_rng(c) for c in ss.spawn(3)]
-    data = trimmed_data if schedule.fidelity == "low" else full_data
     batcher = Batcher(data, batch_size, shuffle_rng)
     records = []
-    log = SearchLog()
+    served = []
     optimizer = Adam(supernet.trainable_params(), lr=lr)
     for i in range(1, schedule.rounds + 1):
         if supernet.mask.num_active() == 0:
             break
-        served = batcher.served
+        before = batcher.served
         try:
             record = prune_round(supernet, scorer, batcher, schedule.k,
                                  schedule.steps_per_round, optimizer, score_rng, i)
         except FloatingPointError as exc:
             raise FloatingPointError(f"prune round {i}, seed {seed}: {exc}") from None
         records.append(record)
-        log.prune_epochs += (batcher.served - served) / len(full_data)
+        served.append(batcher.served - before)
         done = (i == schedule.rounds
                 or record.param_count_after <= schedule.budget
                 or supernet.mask.num_active() == 0)
@@ -169,24 +153,22 @@ def run_search(supernet: Supernet, full_data: Dataset, trimmed_data: Dataset,
     if schedule.rounds > 0 and final_count > schedule.budget:
         raise RuntimeError(
             f"search ended above budget: {final_count} > {schedule.budget}")
-    return supernet.mask.copy(), records, log
+    return records, served
 
 
-def evaluate(supernet: Supernet, dataset: Dataset, mask: MaskState | None = None,
-             batch_size: int = 64) -> float:
+def evaluate(supernet: Supernet, dataset: Dataset, batch_size: int = 64) -> float:
     """Accuracy in percent."""
     correct = 0
     for lo in range(0, len(dataset), batch_size):
         tokens = dataset.tokens[lo: lo + batch_size]
         labels = dataset.labels[lo: lo + batch_size]
-        correct += int((supernet.predict(tokens, mask=mask) == labels).sum())
+        correct += int((supernet.predict(tokens) == labels).sum())
     return 100.0 * correct / len(dataset)
 
 
-def retrain(supernet: Supernet, mask: MaskState, train_data: Dataset, epochs: int,
-            lr: float, batch_size: int, seed: int, eval_data: Dataset | None = None):
-    """Fresh-start training of the final configuration; the mask is fixed."""
-    supernet.apply_mask(mask)
+def retrain(supernet: Supernet, train_data: Dataset, epochs: int, lr: float,
+            batch_size: int, seed: int, eval_data: Dataset | None = None):
+    """Fresh-start training of the configuration in ``supernet.mask``."""
     ss = np.random.SeedSequence([int(seed), 0x2E7A])
     reinit_rng, head_rng, shuffle_rng = [np.random.default_rng(c) for c in ss.spawn(3)]
     for mid in supernet.mask.active_ids():

@@ -201,10 +201,9 @@ class Supernet:
     def head_params(self):
         return [self.head_w, self.head_b]
 
-    def trainable_params(self, mask: MaskState | None = None):
-        mask = mask or self.mask
+    def trainable_params(self):
         out = []
-        for mid in mask.active_ids():
+        for mid in self.mask.active_ids():
             out.extend(self.modules[mid].params())
         out.extend(self.head_params())
         return out
@@ -222,11 +221,10 @@ class Supernet:
 
     # -- forward --------------------------------------------------------
 
-    def layer_forward(self, h_in: Tensor, layer_index: int, mask: MaskState | None = None,
+    def layer_forward(self, h_in: Tensor, layer_index: int,
                       record: dict | None = None) -> Tensor:
         """One encoder layer plus its (possibly masked) adapter terms."""
         cfg = self.config
-        mask = mask or self.mask
         layer = self.layers[layer_index]
         x = h_in
 
@@ -242,14 +240,14 @@ class Supernet:
 
         out = base
         sa_id = PeftModuleId(layer_index, KIND_SA)
-        if mask.is_active(sa_id):
+        if self.mask.is_active(sa_id):
             m = self.modules[sa_id]
             term = _proj(T.activation(_proj(base, m.w_down), cfg.activation), m.w_up)
             if record is not None:
                 _record_activation(record, sa_id, term.data)
             out = T.add(out, term)
         pa_id = PeftModuleId(layer_index, KIND_PA)
-        if mask.is_active(pa_id):
+        if self.mask.is_active(pa_id):
             m = self.modules[pa_id]
             term = _proj(_proj(h_in, m.w_down), m.w_up)
             if not cfg.pa_linear:
@@ -277,8 +275,7 @@ class Supernet:
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
         return _proj(ctx, layer.wo)
 
-    def forward(self, tokens: np.ndarray, mask: MaskState | None = None,
-                record: dict | None = None) -> Tensor:
+    def forward(self, tokens: np.ndarray, record: dict | None = None) -> Tensor:
         """Token ids (batch x seq) to class logits."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -291,12 +288,12 @@ class Supernet:
                      _backward_fn=lambda g, needs: (None,))
         x = T.add(x, pos)
         for i in range(self.config.num_layers):
-            x = self.layer_forward(x, i, mask=mask, record=record)
+            x = self.layer_forward(x, i, record=record)
         pooled = T.mean(x, axis=1)
         return T.add(T.matmul(pooled, self.head_w), self.head_b)
 
-    def predict(self, tokens: np.ndarray, mask: MaskState | None = None) -> np.ndarray:
-        return self.forward(tokens, mask=mask).data.argmax(axis=1)
+    def predict(self, tokens: np.ndarray) -> np.ndarray:
+        return self.forward(tokens).data.argmax(axis=1)
 
     def _all_trainable(self):
         """Every adapter array, masked or not, then the head."""
@@ -323,10 +320,9 @@ def _record_activation(record, mid, data):
     record[mid] = (prev_sum + float(np.abs(data).sum()), prev_n + data.size)
 
 
-def trainable_param_count(supernet: Supernet, mask: MaskState | None = None) -> int:
-    mask = mask or supernet.mask
+def trainable_param_count(supernet: Supernet) -> int:
     count = supernet.config.head_param_count()
-    for mid in mask.active_ids():
+    for mid in supernet.mask.active_ids():
         count += supernet.module_size(mid)
     return count
 
@@ -374,12 +370,11 @@ def build_supernet(config: SupernetConfig, seed: int) -> Supernet:
 # architecture documents
 
 
-def architecture_to_doc(supernet: Supernet, mask: MaskState | None = None) -> dict:
-    mask = mask or supernet.mask
+def architecture_to_doc(supernet: Supernet) -> dict:
     return {
         "config": asdict(supernet.config),
         "modules": [
-            {"layer": mid.layer, "kind": mid.kind, "active": mask.is_active(mid)}
+            {"layer": mid.layer, "kind": mid.kind, "active": supernet.mask.is_active(mid)}
             for mid in sorted(supernet.modules, key=PeftModuleId.sort_key)
         ],
     }

@@ -217,8 +217,8 @@ def test_acceptance_4_mask_budget_invariants():
         else:
             scorer = ST.random_scorer()
         schedule = P.derive_schedule(budget, net, k, steps_per_round=1)
-        _, records, _ = P.run_search(net, train, train, scorer, schedule,
-                                     lr=1e-3, batch_size=10, seed=trial)
+        records, _ = P.run_search(net, train, scorer, schedule,
+                                  lr=1e-3, batch_size=10, seed=trial)
         counts = [full] + [r.param_count_after for r in records]
         if any(b >= a for a, b in zip(counts, counts[1:])):
             failures.append(f"trial {trial}: params not strictly decreasing")
@@ -314,7 +314,7 @@ def ablation_reports():
     for mode in ("hybrid", "random-prune", "no-prune"):
         for task in ABLATION_TASKS:
             cfg = _ablation_config(task, mode)
-            reports[(mode, task.name)] = E.report_to_dict(E.run_experiment(cfg))
+            reports[(mode, task.name)] = E.run_experiment(cfg)
     return reports, time.monotonic() - start
 
 
@@ -345,7 +345,7 @@ def test_acceptance_8_search_overhead(ablation_reports):
 
     low_cfg = _ablation_config(ABLATION_TASKS[0], "hybrid", seeds=(0,),
                                fidelity="low")
-    low = E.epoch_summary(E.report_to_dict(E.run_experiment(low_cfg)))
+    low = E.epoch_summary(E.run_experiment(low_cfg))
 
     # worst case of the pruning loop: one adapter pair per layer, default k,
     # one epoch per round
@@ -379,7 +379,7 @@ def test_acceptance_9_transferability():
 
     base = dict(net=TRANSFER_NET, batch_size=40, retrain_epochs=20)
     source_cfg = E.ExperimentConfig(task=TRANSFER_SOURCE, seeds=(0,), **base)
-    source = E.report_to_dict(E.run_experiment(source_cfg))
+    source = E.run_experiment(source_cfg)
 
     # document round trips must be byte-exact
     strategy_doc = E.export_strategy(source)
@@ -395,9 +395,9 @@ def test_acceptance_9_transferability():
 
     seeds = (0, 1, 2, 3, 4)
     native_cfg = E.ExperimentConfig(task=TRANSFER_TARGET, seeds=seeds, **base)
-    native = mean_acc(E.report_to_dict(E.run_experiment(native_cfg)))
+    native = mean_acc(E.run_experiment(native_cfg))
     transfer_cfg = E.import_strategy(strategy_doc, native_cfg)
-    transferred = mean_acc(E.report_to_dict(E.run_experiment(transfer_cfg)))
+    transferred = mean_acc(E.run_experiment(transfer_cfg))
 
     gap = abs(native - transferred)
     ok = round_trip_ok and gap <= 1.0

@@ -38,6 +38,10 @@ class TestConfigValidation:
         with pytest.raises(E.ConfigError, match="seed"):
             make_config(seeds=())
 
+    def test_invalid_fidelity_rejected(self):
+        with pytest.raises(E.ConfigError, match="fidelity"):
+            make_config(fidelity="medium")
+
     def test_bad_fractions_rejected(self):
         with pytest.raises(E.ConfigError):
             make_config(trim_fraction=0.0)
@@ -116,33 +120,30 @@ class TestConfigFiles:
 
 class TestRunModes:
     def test_hybrid_produces_records_strategy_and_tendency(self):
-        report = E.run_experiment(make_config())
-        sr = report.per_seed[0]
-        assert sr.records
-        assert sr.strategy_doc is not None
-        assert sr.tendency is not None
-        assert sr.log.warmup_epochs > 0
-        assert sr.log.prune_epochs > 0
-        assert "accuracy" in sr.metrics
+        sr = E.run_experiment(make_config())["per_seed"][0]
+        assert sr["records"]
+        assert sr["strategy"] is not None
+        assert sr["tendency"] is not None
+        assert sr["epochs"]["warmup"] > 0
+        assert sr["epochs"]["prune"] > 0
+        assert "accuracy" in sr["metrics"]
 
     def test_no_prune_keeps_everything_and_skips_search(self):
-        report = E.run_experiment(make_config(mode="no-prune"))
-        sr = report.per_seed[0]
-        assert sr.records == []
-        assert sr.log.search_epochs == 0
-        assert sr.metrics["trainable_params"] == S.trainable_param_count(
+        sr = E.run_experiment(make_config(mode="no-prune"))["per_seed"][0]
+        assert sr["records"] == []
+        assert sr["epochs"]["search_total"] == 0
+        assert sr["metrics"]["trainable_params"] == S.trainable_param_count(
             S.build_supernet(NET, 0))
 
     def test_random_prune_reaches_budget_without_strategy(self):
-        report = E.run_experiment(make_config(mode="random-prune"))
-        sr = report.per_seed[0]
-        assert sr.strategy_doc is None
-        assert sr.records
-        assert sr.log.warmup_epochs > 0  # epoch parity with hybrid search
+        sr = E.run_experiment(make_config(mode="random-prune"))["per_seed"][0]
+        assert sr["strategy"] is None
+        assert sr["records"]
+        assert sr["epochs"]["warmup"] > 0  # epoch parity with hybrid search
 
     def test_no_partition_uses_a_single_global_block(self):
         report = E.run_experiment(make_config(mode="no-partition"))
-        doc = report.per_seed[0].strategy_doc
+        doc = report["per_seed"][0]["strategy"]
         assert len(doc["partitions"]) == 1
         assert doc["partitions"][0] == {
             "partition": 1, "lo": 0, "hi": NET.num_layers,
@@ -150,65 +151,65 @@ class TestRunModes:
 
     def test_single_mode_applies_one_criterion_everywhere(self):
         report = E.run_experiment(make_config(mode="single:gradient"))
-        doc = report.per_seed[0].strategy_doc
+        doc = report["per_seed"][0]["strategy"]
         assert {e["criterion"] for e in doc["partitions"]} == {"gradient"}
 
     def test_ablations_share_the_search_epoch_budget(self):
-        logs = {}
+        warmup = {}
         for mode in ("hybrid", "random-prune", "single:weight"):
             report = E.run_experiment(make_config(mode=mode))
-            logs[mode] = report.per_seed[0].log
-        assert logs["hybrid"].warmup_epochs == logs["random-prune"].warmup_epochs
-        assert logs["hybrid"].warmup_epochs == logs["single:weight"].warmup_epochs
+            warmup[mode] = report["per_seed"][0]["epochs"]["warmup"]
+        assert warmup["hybrid"] == warmup["random-prune"]
+        assert warmup["hybrid"] == warmup["single:weight"]
 
     def test_low_fidelity_trains_rounds_on_the_small_split(self):
-        full = E.run_experiment(make_config()).per_seed[0]
+        full = E.run_experiment(make_config())["per_seed"][0]
         low = E.run_experiment(
-            make_config(fidelity="low", low_fidelity_fraction=0.25)).per_seed[0]
-        assert low.log.prune_epochs < full.log.prune_epochs
+            make_config(fidelity="low", low_fidelity_fraction=0.25))["per_seed"][0]
+        assert low["epochs"]["prune"] < full["epochs"]["prune"]
 
     def test_runs_are_deterministic(self):
-        a = E.report_to_dict(E.run_experiment(make_config(seeds=(0, 1))))
-        b = E.report_to_dict(E.run_experiment(make_config(seeds=(0, 1))))
+        a = E.run_experiment(make_config(seeds=(0, 1)))
+        b = E.run_experiment(make_config(seeds=(0, 1)))
         assert a == b
 
 
 class TestTransfer:
     def test_strategy_export_import_round_trip(self):
-        report = E.report_to_dict(E.run_experiment(make_config()))
+        report = E.run_experiment(make_config())
         doc = E.export_strategy(report)
         cfg = E.import_strategy(doc, make_config(task=TK.SyntheticTaskSpec(
             "other", 12, 8, 2, "pattern-presence", 40, 8, 16, 9)))
-        transferred = E.run_experiment(cfg).per_seed[0]
-        assert transferred.strategy_doc == doc
-        assert transferred.tendency is None  # warm-up skipped
-        assert transferred.log.warmup_epochs == 0
+        transferred = E.run_experiment(cfg)["per_seed"][0]
+        assert transferred["strategy"] == doc
+        assert transferred["tendency"] is None  # warm-up skipped
+        assert transferred["epochs"]["warmup"] == 0
 
     def test_architecture_import_skips_search_entirely(self):
-        report = E.report_to_dict(E.run_experiment(make_config()))
+        report = E.run_experiment(make_config())
         arch = E.export_architecture(report)
         cfg = E.import_architecture(arch, make_config())
-        sr = E.run_experiment(cfg).per_seed[0]
-        assert sr.records == []
-        assert sr.log.search_epochs == 0
-        assert sr.architecture_doc["modules"] == arch["modules"]
+        sr = E.run_experiment(cfg)["per_seed"][0]
+        assert sr["records"] == []
+        assert sr["epochs"]["search_total"] == 0
+        assert sr["architecture"]["modules"] == arch["modules"]
 
     def test_architecture_layer_mismatch_rejected(self):
-        report = E.report_to_dict(E.run_experiment(make_config()))
+        report = E.run_experiment(make_config())
         arch = E.export_architecture(report)
         other = S.SupernetConfig(6, 16, 2, 16, 4, 2, 12, 2, 8)
         with pytest.raises(E.ConfigError, match="layers"):
             E.import_architecture(arch, make_config(net=other))
 
     def test_no_prune_report_has_no_strategy(self):
-        report = E.report_to_dict(E.run_experiment(make_config(mode="no-prune")))
+        report = E.run_experiment(make_config(mode="no-prune"))
         with pytest.raises(ValueError, match="strategy"):
             E.export_strategy(report)
 
 
 class TestReports:
     def test_epoch_summary_aggregates_means(self):
-        report = E.report_to_dict(E.run_experiment(make_config(seeds=(0, 1))))
+        report = E.run_experiment(make_config(seeds=(0, 1)))
         summary = E.epoch_summary(report)
         warm = [s["epochs"]["warmup"] for s in report["per_seed"]]
         assert summary["warmup_epochs"] == pytest.approx(np.mean(warm))
@@ -218,14 +219,14 @@ class TestReports:
             summary["search_epochs"] / summary["retrain_epochs"])
 
     def test_frequency_counts_match_records(self):
-        report = E.report_to_dict(E.run_experiment(make_config()))
+        report = E.run_experiment(make_config())
         counts = E.frequency_counts(report)
         pruned_total = sum(len(r["pruned"])
                            for sr in report["per_seed"] for r in sr["records"])
         assert sum(counts.values()) == pruned_total
 
     def test_emit_writes_expected_files(self, tmp_path):
-        report = E.report_to_dict(E.run_experiment(make_config()))
+        report = E.run_experiment(make_config())
         out = tmp_path / "r"
         E.emit_reports(report, str(out))
         names = {p.name for p in out.iterdir()}
@@ -233,7 +234,7 @@ class TestReports:
                 "report.json", "strategy.json", "architecture.json"} <= names
 
     def test_emission_is_byte_stable(self, tmp_path):
-        report = E.report_to_dict(E.run_experiment(make_config()))
+        report = E.run_experiment(make_config())
         a, b = tmp_path / "a", tmp_path / "b"
         E.emit_reports(report, str(a))
         E.emit_reports(report, str(b))
@@ -245,7 +246,7 @@ class TestReports:
         blocker.write_text("a plain file, not a directory", encoding="utf-8")
         with pytest.raises(OSError, match="not writable"):
             E.emit_reports(
-                E.report_to_dict(E.run_experiment(make_config(mode="no-prune"))),
+                E.run_experiment(make_config(mode="no-prune")),
                 str(blocker))
 
 
@@ -313,6 +314,26 @@ class TestCli:
                          "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "d_model" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("partitions", [
+        [(1, 0, 6)],               # layers 6-7 never scored
+        [(1, 0, 2)],               # runs out of modules to score
+        [(1, 0, 5), (2, 4, 8)],    # overlap
+        [(2, 0, 8)],               # numbered from 2
+    ])
+    def test_strategy_that_does_not_tile_the_layers_fails_without_a_report(
+            self, tmp_path, capsys, partitions):
+        config = self._write_config(tmp_path, net=dataclasses.replace(NET, num_layers=8))
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"partitions": [
+            {"partition": i, "lo": lo, "hi": hi, "criterion": "weight"}
+            for i, lo, hi in partitions]}), encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["import-strategy", "--config", config, "--strategy", str(strategy),
+                         "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "partitions" in err["message"]
         assert not out.exists()
 
     def test_epochs_count_the_examples_served(self, tmp_path, capsys, monkeypatch):

@@ -55,11 +55,6 @@ class TestScheduleDerivation:
         want = S.trainable_param_count(net) - 4 * pa_size
         assert P.default_budget(net) == want
 
-    def test_invalid_fidelity_rejected(self):
-        with pytest.raises(ValueError, match="fidelity"):
-            P.PruneSchedule(budget=10, rounds=1, k=1, steps_per_round=1,
-                            fidelity="medium")
-
 
 class TestSelection:
     def test_top_one_is_argmax(self):
@@ -91,20 +86,20 @@ class TestSearch:
         train, _, _ = build_data()
         budget = P.default_budget(net)
         schedule = P.derive_schedule(budget, net, k=1, steps_per_round=2)
-        mask, records, log = P.run_search(net, train, train, hybrid_scorer_for(net),
-                                          schedule, lr=1e-3, batch_size=20, seed=0)
+        records, served = P.run_search(net, train, hybrid_scorer_for(net),
+                                       schedule, lr=1e-3, batch_size=20, seed=0)
         counts = [r.param_count_after for r in records]
         assert counts == sorted(counts, reverse=True)
         assert counts[-1] <= budget
-        assert mask.num_active() < len(mask)
-        assert log.prune_epochs > 0
+        assert net.mask.num_active() < len(net.mask)
+        assert len(served) == len(records) and min(served) > 0
 
     def test_each_round_removes_argmax_k(self):
         net = build_net()
         train, _, _ = build_data()
         schedule = P.derive_schedule(P.default_budget(net), net, 2, 2)
-        _, records, _ = P.run_search(net, train, train, hybrid_scorer_for(net),
-                                     schedule, lr=1e-3, batch_size=20, seed=0)
+        records, _ = P.run_search(net, train, hybrid_scorer_for(net),
+                                  schedule, lr=1e-3, batch_size=20, seed=0)
         for rec in records:
             assert rec.pruned == P.select_top_k(rec.probabilities, len(rec.pruned))
 
@@ -114,9 +109,9 @@ class TestSearch:
             net = build_net()
             train, _, _ = build_data()
             schedule = P.derive_schedule(P.default_budget(net), net, 2, 2)
-            mask, _, _ = P.run_search(net, train, train, hybrid_scorer_for(net),
-                                      schedule, lr=1e-3, batch_size=20, seed=3)
-            masks.append(mask)
+            P.run_search(net, train, hybrid_scorer_for(net),
+                         schedule, lr=1e-3, batch_size=20, seed=3)
+            masks.append(net.mask)
         assert masks[0] == masks[1]
 
     def test_zero_round_schedule_prunes_nothing(self):
@@ -124,11 +119,11 @@ class TestSearch:
         train, _, _ = build_data()
         schedule = P.PruneSchedule(budget=S.trainable_param_count(net), rounds=0,
                                    k=1, steps_per_round=1)
-        mask, records, log = P.run_search(net, train, train, hybrid_scorer_for(net),
-                                          schedule, lr=1e-3, batch_size=20, seed=0)
+        records, served = P.run_search(net, train, hybrid_scorer_for(net),
+                                       schedule, lr=1e-3, batch_size=20, seed=0)
         assert records == []
-        assert mask.num_active() == len(mask)
-        assert log.prune_epochs == 0
+        assert net.mask.num_active() == len(net.mask)
+        assert served == []
 
 
 class TestRetrainAndEvaluate:
@@ -143,26 +138,30 @@ class TestRetrainAndEvaluate:
     def test_retrain_reports_curve_and_accuracies(self):
         net = build_net()
         train, _, test = build_data()
-        metrics = P.retrain(net, net.mask.copy(), train, epochs=2, lr=1e-3,
-                            batch_size=20, seed=0, eval_data=test)
+        metrics = P.retrain(net, train, epochs=2, lr=1e-3, batch_size=20, seed=0,
+                            eval_data=test)
         assert len(metrics["loss_curve"]) == 2
         assert 0 <= metrics["train_accuracy"] <= 100
         assert 0 <= metrics["accuracy"] <= 100
 
     def test_retrain_respects_the_mask(self):
+        # retrain leaves the mask as it is and never touches an inactive module
         net = build_net()
         train, _, _ = build_data()
+        off = S.PeftModuleId(1, "SA")
+        net.mask.deactivate(off)
         mask = net.mask.copy()
-        mask.deactivate(S.PeftModuleId(1, "SA"))
-        P.retrain(net, mask, train, epochs=1, lr=1e-3, batch_size=20, seed=0)
+        before = net.modules[off].flat_weights()
+        P.retrain(net, train, epochs=1, lr=1e-3, batch_size=20, seed=0)
         assert net.mask == mask
+        assert net.modules[off].flat_weights().tobytes() == before.tobytes()
 
     def test_retrain_is_deterministic(self):
         curves = []
         for _ in range(2):
             net = build_net()
             train, _, _ = build_data()
-            m = P.retrain(net, net.mask.copy(), train, 2, 1e-3, 20, seed=5)
+            m = P.retrain(net, train, 2, 1e-3, 20, seed=5)
             curves.append(m["loss_curve"])
         assert curves[0] == curves[1]
 

@@ -83,21 +83,25 @@ class TestForward:
         mask = net.mask.copy()
         for mid in mask.ids():
             mask.deactivate(mid)
-        reference = net.forward(tokens, mask=mask).data
+        net.apply_mask(mask)
+        reference = net.forward(tokens).data
         for mod in net.modules.values():
             mod.w_down.data = np.full_like(mod.w_down.data, np.nan)
             mod.w_up.data = np.full_like(mod.w_up.data, np.nan)
-        poisoned = net.forward(tokens, mask=mask).data
+        poisoned = net.forward(tokens).data
         assert np.array_equal(reference, poisoned)
         assert np.all(np.isfinite(poisoned))
 
     def test_zero_up_projection_matches_masked_output(self, net, tokens):
         """An adapter with W_up = 0 adds an exact zero term."""
+        full = net.mask.copy()
         mask = net.mask.copy()
         mid = S.PeftModuleId(2, "SA")
         mask.deactivate(mid)
-        masked = net.forward(tokens, mask=mask).data
+        net.apply_mask(mask)
+        masked = net.forward(tokens).data
         net.modules[mid].w_up.data = np.zeros_like(net.modules[mid].w_up.data)
+        net.apply_mask(full)
         zeroed = net.forward(tokens).data
         assert np.allclose(masked, zeroed, atol=0, rtol=0)
 
