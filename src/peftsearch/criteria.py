@@ -37,8 +37,8 @@ class Criterion:
     def __post_init__(self):
         if self.tag not in CRITERIA_ORDER:
             raise ValueError(f"unknown criterion tag {self.tag!r}")
-        if self.threshold is not None and self.threshold <= 0:
-            raise ValueError("threshold parameter must be positive")
+        if self.threshold is not None and not 0 < self.threshold < math.inf:
+            raise ValueError("threshold parameter must be positive and finite")
 
 
 def default_criteria():
@@ -83,12 +83,13 @@ def collect_stats(supernet: Supernet, batches, steps: int, optimizer: Adam):
     active = supernet.mask.active_ids()
     acc_g = {mid: np.zeros(supernet.module_size(mid)) for mid in active}
     acc_wg = {mid: np.zeros(supernet.module_size(mid)) for mid in active}
-    act = {}
+    act_sum = {mid: 0.0 for mid in active}
+    act_n = {mid: 0 for mid in active}
     losses = []
     params = optimizer.params
     for step in range(1, steps + 1):
         tokens, labels = next(batches)
-        logits = supernet.forward(tokens, record=act)
+        logits, terms = supernet.forward(tokens)
         loss = softmax_cross_entropy(logits, labels)
         if not math.isfinite(loss.data):
             raise FloatingPointError(f"non-finite loss {float(loss.data)} at step {step}")
@@ -99,17 +100,18 @@ def collect_stats(supernet: Supernet, batches, steps: int, optimizer: Adam):
             g = mod.flat_grads()
             acc_g[mid] += np.abs(g)
             acc_wg[mid] += np.abs(w * g)
+            act_sum[mid] += float(np.abs(terms[mid]).sum())
+            act_n[mid] += terms[mid].size
         optimizer.step()
         losses.append(float(loss.data))
     stats = {}
     for mid in active:
-        a_sum, a_n = act.get(mid, (0.0, 0))
         stats[mid] = ModuleStats(
             weights=supernet.modules[mid].flat_weights(),
             grad_abs=acc_g[mid],
             weight_grad_abs=acc_wg[mid],
-            activation_abs_sum=a_sum,
-            activation_count=a_n,
+            activation_abs_sum=act_sum[mid],
+            activation_count=act_n[mid],
             num_batches=steps,
         )
     return stats, losses

@@ -159,9 +159,10 @@ def _architecture_mask(doc: dict, net: S.SupernetConfig) -> S.MaskState:
 
 
 def _strategy_partitions(doc: dict, num_layers: int):
-    """(strategy, scoring partitions) of a strategy document. The partitions
-    must be numbered 1..n and tile [0, num_layers) in order."""
-    strategy, partitions = ST.HybridStrategy.from_doc(doc)
+    """The strategy of a strategy document. Its partitions must be numbered
+    1..n and tile [0, num_layers) in order."""
+    strategy = ST.strategy_from_doc(doc)
+    partitions = [p for p, _ in strategy]
     # each partition starts where the one before it ends; the last ends at num_layers
     edges = [0] + [p.hi for p in partitions]
     numbered = [p.index for p in partitions] == list(range(1, len(partitions) + 1))
@@ -171,21 +172,20 @@ def _strategy_partitions(doc: dict, num_layers: int):
         found = ", ".join(f"{p.index}: [{p.lo}, {p.hi})" for p in partitions)
         raise ConfigError(f"strategy partitions ({found}) must be numbered 1..n and"
                           f" tile the layers [0, {num_layers}) in order")
-    return strategy, partitions
+    return strategy
 
 
 def _mode_strategy(mode: str, table: ST.TendencyTable, partitions, num_layers: int):
-    """(strategy, scoring partitions) that ``mode`` derives from the warm-up
-    table. random-prune has no strategy: its warm-up runs for epoch parity."""
+    """The strategy that ``mode`` derives from the warm-up table, or None for
+    random-prune, whose warm-up runs for epoch parity."""
     if mode == "hybrid":
-        return ST.assign_strategies(table), partitions
+        return ST.assign_strategies(table, partitions)
     if mode == "no-partition":
-        return (ST.HybridStrategy({1: ST.global_best_criterion(table)}),
-                [ST.Partition(1, 0, num_layers)])
+        return [(ST.Partition(1, 0, num_layers), ST.global_best_criterion(table))]
     if mode.startswith("single:"):
         crit = C.Criterion(mode.split(":", 1)[1])
-        return ST.HybridStrategy({p.index: crit for p in partitions}), partitions
-    return None, partitions
+        return [(p, crit) for p in partitions]
+    return None
 
 
 def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Dataset,
@@ -195,27 +195,22 @@ def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Data
     k = config.k if config.k is not None else P.default_k(net)
     warmup_epochs = 0.0
     if config.strategy_doc is not None:
-        strategy, score_partitions = _strategy_partitions(config.strategy_doc,
-                                                          config.net.num_layers)
+        strategy = _strategy_partitions(config.strategy_doc, config.net.num_layers)
     else:
         d_warm = TK.stratified_trim(train, config.trim_fraction, seed)
         partitions = ST.partition_layers(config.net.num_layers)
-        table = ST.warmup(
-            net,
-            lambda rng: TK.Batcher(d_warm, config.batch_size, rng),
-            -(-len(d_warm) // config.batch_size), C.default_criteria(),
-            config.warmup_rounds, k, partitions, config.lr, seed)
+        table = ST.warmup(net, d_warm, C.default_criteria(), config.warmup_rounds, k,
+                          partitions, config.lr, config.batch_size, seed)
         # each warm-up round is one pass over d_warm
         warmup_epochs = config.warmup_rounds * len(d_warm) / len(train)
         result["tendency"] = table.to_dict()
-        strategy, score_partitions = _mode_strategy(config.mode, table, partitions,
-                                                    config.net.num_layers)
+        strategy = _mode_strategy(config.mode, table, partitions, config.net.num_layers)
 
     if config.mode == "random-prune":
         scorer = ST.random_scorer()
     else:
-        scorer = ST.hybrid_scorer(strategy, score_partitions)
-        result["strategy"] = strategy.to_doc(score_partitions)
+        scorer = ST.hybrid_scorer(strategy)
+        result["strategy"] = ST.strategy_to_doc(strategy)
 
     round_data = (TK.stratified_trim(train, config.low_fidelity_fraction, seed)
                   if config.fidelity == "low" else train)
@@ -342,25 +337,18 @@ def _write(path: str, text: str):
 
 
 def emit_reports(report_doc: dict, out_dir: str):
-    """Write the report files; emission is a pure function of the report."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        probe = os.path.join(out_dir, ".write-probe")
-        with open(probe, "w"):
-            pass
-        os.remove(probe)
-    except OSError as exc:
-        raise OSError(f"report directory {out_dir!r} is not writable: {exc}") from exc
-
+    """Write the report files; emission is a pure function of the report.
+    Every file is rendered before the first one is written."""
+    files = {}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["layer", "kind", "criterion", "count"])
     for (layer, kind, criterion), count in sorted(frequency_counts(report_doc).items()):
         writer.writerow([layer, kind, criterion, count])
-    _write(os.path.join(out_dir, "frequency.csv"), buf.getvalue())
+    files["frequency.csv"] = buf.getvalue()
 
     rounds = {str(sr["seed"]): sr["records"] for sr in report_doc["per_seed"]}
-    _write(os.path.join(out_dir, "rounds.json"), _dump_json(rounds))
+    files["rounds.json"] = _dump_json(rounds)
 
     summary = {
         "mode": report_doc["mode"],
@@ -370,7 +358,7 @@ def emit_reports(report_doc: dict, out_dir: str):
         "tendency": {str(sr["seed"]): sr["tendency"]
                      for sr in report_doc["per_seed"] if sr.get("tendency")},
     }
-    _write(os.path.join(out_dir, "summary.json"), _dump_json(summary))
+    files["summary.json"] = _dump_json(summary)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -381,13 +369,18 @@ def emit_reports(report_doc: dict, out_dir: str):
         writer.writerow([sr["seed"], m.get("accuracy"), m.get("val_accuracy"),
                          m.get("train_accuracy"), m.get("trainable_params"),
                          m["loss_curve"][-1]])
-    _write(os.path.join(out_dir, "metrics.csv"), buf.getvalue())
+    files["metrics.csv"] = buf.getvalue()
 
-    _write(os.path.join(out_dir, "report.json"), _dump_json(report_doc))
+    files["report.json"] = _dump_json(report_doc)
     try:
-        _write(os.path.join(out_dir, "strategy.json"),
-               _dump_json(export_strategy(report_doc)))
+        files["strategy.json"] = _dump_json(export_strategy(report_doc))
     except ValueError:
         pass
-    _write(os.path.join(out_dir, "architecture.json"),
-           _dump_json(export_architecture(report_doc)))
+    files["architecture.json"] = _dump_json(export_architecture(report_doc))
+
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, text in files.items():
+            _write(os.path.join(out_dir, name), text)
+    except OSError as exc:
+        raise OSError(f"report directory {out_dir!r} is not writable: {exc}") from exc

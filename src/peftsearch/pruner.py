@@ -183,7 +183,7 @@ def retrain(supernet: Supernet, train_data: Dataset, epochs: int, lr: float,
         epoch_loss = 0.0
         for _ in range(steps):
             tokens, labels = next(batcher)
-            loss = softmax_cross_entropy(supernet.forward(tokens), labels)
+            loss = softmax_cross_entropy(supernet.forward(tokens)[0], labels)
             if not math.isfinite(loss.data):
                 raise FloatingPointError(f"retrain, seed {seed}: non-finite loss"
                                          f" {float(loss.data)} in epoch {epoch}")

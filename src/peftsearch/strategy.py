@@ -15,6 +15,7 @@ import numpy as np
 
 from . import criteria as C
 from .supernet import KINDS, PeftModuleId, Supernet
+from .tasks import Batcher, Dataset
 from .tensor import Adam
 
 
@@ -60,36 +61,27 @@ class TendencyTable:
         }
 
 
-@dataclass
-class HybridStrategy:
-    """Partition index (1-based) -> pruning criterion."""
+def strategy_to_doc(strategy) -> dict:
+    """The document of a strategy: (Partition, Criterion) pairs in partition
+    order."""
+    entries = []
+    for p, crit in strategy:
+        entry = {"partition": p.index, "lo": p.lo, "hi": p.hi, "criterion": crit.tag}
+        if crit.threshold is not None:
+            entry["threshold"] = crit.threshold
+        entries.append(entry)
+    return {"partitions": entries}
 
-    assignment: dict
 
-    def criterion_for(self, partition_index: int) -> C.Criterion:
-        return self.assignment[partition_index]
-
-    def to_doc(self, partitions) -> dict:
-        entries = []
-        for p in partitions:
-            crit = self.assignment[p.index]
-            entry = {"partition": p.index, "lo": p.lo, "hi": p.hi, "criterion": crit.tag}
-            if crit.threshold is not None:
-                entry["threshold"] = crit.threshold
-            entries.append(entry)
-        return {"partitions": entries}
-
-    @classmethod
-    def from_doc(cls, doc: dict):
-        assignment = {}
-        partitions = []
-        for entry in doc["partitions"]:
-            crit = C.Criterion(entry["criterion"], entry.get("threshold"))
-            idx = int(entry["partition"])
-            assignment[idx] = crit
-            partitions.append(Partition(idx, int(entry["lo"]), int(entry["hi"])))
-        partitions.sort(key=lambda p: p.index)
-        return cls(assignment), partitions
+def strategy_from_doc(doc: dict):
+    """The (Partition, Criterion) pairs of a strategy document, sorted by
+    partition index."""
+    strategy = []
+    for entry in doc["partitions"]:
+        crit = C.Criterion(entry["criterion"], entry.get("threshold"))
+        strategy.append((Partition(int(entry["partition"]), int(entry["lo"]),
+                                   int(entry["hi"])), crit))
+    return sorted(strategy, key=lambda pair: pair[0].index)
 
 
 @dataclass
@@ -122,27 +114,26 @@ def partition_of(partitions, layer: int) -> Partition:
     raise ValueError(f"layer {layer} not covered by partitions")
 
 
-def warmup(supernet: Supernet, batcher_factory, steps_per_round: int, candidates,
-           rounds: int, k: int, partitions, lr: float, seed: int) -> TendencyTable:
+def warmup(supernet: Supernet, data: Dataset, candidates, rounds: int, k: int,
+           partitions, lr: float, batch_size: int, seed: int) -> TendencyTable:
     """Heuristic warm-up: train, score, count hypothetical prunings.
 
-    No pruning is applied; adapter and head weights are restored to their
-    entry state before returning. ``batcher_factory(round_rng)`` must yield
-    an iterator of (tokens, labels) batches over the trimmed dataset.
+    Each round trains one pass over ``data``. No pruning is applied;
+    adapter and head weights are restored to their entry state before
+    returning.
     """
     if rounds < 1:
         raise ValueError("warm-up needs at least one round")
-    if steps_per_round < 1:
-        raise ValueError("warm-up needs at least one step per round")
     table = TendencyTable.empty(candidates, len(partitions))
     snapshot = supernet.snapshot_trainable()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11]))
+    batcher = Batcher(data, batch_size, rng)
     optimizer = Adam(supernet.trainable_params(), lr=lr)
     try:
         for _ in range(rounds):
-            batches = batcher_factory(rng)
             try:
-                stats, _ = C.collect_stats(supernet, batches, steps_per_round, optimizer)
+                stats, _ = C.collect_stats(supernet, batcher, batcher.steps_per_epoch(),
+                                           optimizer)
             except FloatingPointError as exc:
                 raise FloatingPointError(f"warm-up, seed {seed}: {exc}") from None
             active = supernet.mask.active_ids()
@@ -173,11 +164,10 @@ def _best_criterion(tags, values) -> C.Criterion:
     return C.Criterion(tags[best])
 
 
-def assign_strategies(table: TendencyTable) -> HybridStrategy:
-    """Pick, per partition, the criterion most concentrated on it."""
+def assign_strategies(table: TendencyTable, partitions):
+    """Pair each partition with the criterion most concentrated on it."""
     conc = concentrations(table)
-    return HybridStrategy({p + 1: _best_criterion(table.criteria, conc[:, p])
-                           for p in range(table.num_partitions)})
+    return [(p, _best_criterion(table.criteria, conc[:, p.index - 1])) for p in partitions]
 
 
 def global_best_criterion(table: TendencyTable) -> C.Criterion:
@@ -218,16 +208,15 @@ def prune_probabilities(entries) -> ProbabilityVector:
     return ProbabilityVector(ids=ids, p=e / e.sum())
 
 
-def hybrid_score_entries(stats_map, strategy: HybridStrategy, partitions):
+def hybrid_score_entries(stats_map, strategy):
     """Per-module (id, normalized unimportance, rank) under the hybrid
     strategy, with normalization and ranking done within each partition."""
     entries = []
     crit_by_module = {}
-    for part in partitions:
+    for part, crit in strategy:
         ids = [mid for mid in stats_map if part.contains(mid.layer)]
         if not ids:
             continue
-        crit = strategy.criterion_for(part.index)
         sv = C.score_group(crit, stats_map, ids)
         theta_hat = _minmax_normalize(sv.unimportance)
         for i, mid in enumerate(sv.ids):
@@ -237,11 +226,11 @@ def hybrid_score_entries(stats_map, strategy: HybridStrategy, partitions):
     return entries, crit_by_module
 
 
-def hybrid_scorer(strategy: HybridStrategy, partitions):
+def hybrid_scorer(strategy):
     """Scorer closure for the pruning loop."""
 
     def scorer(stats_map, rng):
-        entries, crit_by_module = hybrid_score_entries(stats_map, strategy, partitions)
+        entries, crit_by_module = hybrid_score_entries(stats_map, strategy)
         return prune_probabilities(entries), crit_by_module
 
     return scorer

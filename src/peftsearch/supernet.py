@@ -221,9 +221,9 @@ class Supernet:
 
     # -- forward --------------------------------------------------------
 
-    def layer_forward(self, h_in: Tensor, layer_index: int,
-                      record: dict | None = None) -> Tensor:
-        """One encoder layer plus its (possibly masked) adapter terms."""
+    def layer_forward(self, h_in: Tensor, layer_index: int):
+        """One encoder layer plus its (possibly masked) adapter terms.
+        Returns (output, {module id: term array} of the active adapters)."""
         cfg = self.config
         layer = self.layers[layer_index]
         x = h_in
@@ -239,12 +239,12 @@ class Supernet:
         base = T.layer_norm(T.add(a, f), layer.ln2_g, layer.ln2_b)
 
         out = base
+        terms = {}
         sa_id = PeftModuleId(layer_index, KIND_SA)
         if self.mask.is_active(sa_id):
             m = self.modules[sa_id]
             term = _proj(T.activation(_proj(base, m.w_down), cfg.activation), m.w_up)
-            if record is not None:
-                _record_activation(record, sa_id, term.data)
+            terms[sa_id] = term.data
             out = T.add(out, term)
         pa_id = PeftModuleId(layer_index, KIND_PA)
         if self.mask.is_active(pa_id):
@@ -252,10 +252,9 @@ class Supernet:
             term = _proj(_proj(h_in, m.w_down), m.w_up)
             if not cfg.pa_linear:
                 term = T.activation(term, cfg.activation)
-            if record is not None:
-                _record_activation(record, pa_id, term.data)
+            terms[pa_id] = term.data
             out = T.add(out, term)
-        return out
+        return out, terms
 
     def _attention(self, x: Tensor, layer: EncoderLayer) -> Tensor:
         cfg = self.config
@@ -275,8 +274,8 @@ class Supernet:
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
         return _proj(ctx, layer.wo)
 
-    def forward(self, tokens: np.ndarray, record: dict | None = None) -> Tensor:
-        """Token ids (batch x seq) to class logits."""
+    def forward(self, tokens: np.ndarray):
+        """Token ids (batch x seq) to (class logits, every layer's terms)."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError("tokens must be batch x seq")
@@ -287,13 +286,15 @@ class Supernet:
         pos = Tensor(self.pos.data[:seq], _parents=(self.pos,),
                      _backward_fn=lambda g, needs: (None,))
         x = T.add(x, pos)
+        terms = {}
         for i in range(self.config.num_layers):
-            x = self.layer_forward(x, i, record=record)
+            x, layer_terms = self.layer_forward(x, i)
+            terms.update(layer_terms)
         pooled = T.mean(x, axis=1)
-        return T.add(T.matmul(pooled, self.head_w), self.head_b)
+        return T.add(T.matmul(pooled, self.head_w), self.head_b), terms
 
     def predict(self, tokens: np.ndarray) -> np.ndarray:
-        return self.forward(tokens).data.argmax(axis=1)
+        return self.forward(tokens)[0].data.argmax(axis=1)
 
     def _all_trainable(self):
         """Every adapter array, masked or not, then the head."""
@@ -313,11 +314,6 @@ class Supernet:
             raise ValueError("snapshot does not match parameter list")
         for p, s in zip(params, snapshot):
             p.data = s.copy()
-
-
-def _record_activation(record, mid, data):
-    prev_sum, prev_n = record.get(mid, (0.0, 0))
-    record[mid] = (prev_sum + float(np.abs(data).sum()), prev_n + data.size)
 
 
 def trainable_param_count(supernet: Supernet) -> int:

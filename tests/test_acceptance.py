@@ -100,13 +100,13 @@ def test_acceptance_1_gradient_correctness():
     tokens = rng.integers(0, 10, size=(2, 4))
     labels = rng.integers(0, 2, 2)
     params = net.trainable_params()
-    loss = T.softmax_cross_entropy(net.forward(tokens), labels)
+    loss = T.softmax_cross_entropy(net.forward(tokens)[0], labels)
     T.backward(loss, params=params)
     for p in params:
         def f(v, p=p):
             saved = p.data
             p.data = v
-            out = float(T.softmax_cross_entropy(net.forward(tokens), labels).data)
+            out = float(T.softmax_cross_entropy(net.forward(tokens)[0], labels).data)
             p.data = saved
             return out
         fd = central_diff(f, p.data.copy())
@@ -210,10 +210,9 @@ def test_acceptance_4_mask_budget_invariants():
         budget = int(rng.integers(head, full))
         if trial % 2 == 0:
             parts = ST.partition_layers(layers)
-            strategy = ST.HybridStrategy({
-                p.index: C.Criterion(str(rng.choice(C.CRITERIA_ORDER)))
-                for p in parts})
-            scorer = ST.hybrid_scorer(strategy, parts)
+            strategy = [(p, C.Criterion(str(rng.choice(C.CRITERIA_ORDER))))
+                        for p in parts]
+            scorer = ST.hybrid_scorer(strategy)
         else:
             scorer = ST.random_scorer()
         schedule = P.derive_schedule(budget, net, k, steps_per_round=1)
@@ -389,9 +388,8 @@ def test_acceptance_9_transferability():
     round_trip_ok = (
         json.dumps(strategy_rt, sort_keys=True) == json.dumps(strategy_doc, sort_keys=True)
         and json.dumps(arch_rt, sort_keys=True) == json.dumps(arch_doc, sort_keys=True))
-    st_back, _ = ST.HybridStrategy.from_doc(strategy_rt)
-    round_trip_ok = round_trip_ok and st_back.to_doc(
-        ST.HybridStrategy.from_doc(strategy_doc)[1]) == strategy_doc
+    round_trip_ok = (round_trip_ok and
+                     ST.strategy_to_doc(ST.strategy_from_doc(strategy_rt)) == strategy_doc)
 
     seeds = (0, 1, 2, 3, 4)
     native_cfg = E.ExperimentConfig(task=TRANSFER_TARGET, seeds=seeds, **base)

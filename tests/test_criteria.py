@@ -172,6 +172,45 @@ class TestCollectStats:
             assert s.activation_count > 0
             assert np.any(s.grad_abs > 0)
 
+    def test_activation_statistic_is_each_terms_abs_sum(self, rng):
+        """One step on a 3-layer net: each module's activation sum and count
+        match its term recomputed from its own weights, PA from the layer
+        input and SA from the layer's base (its two adapters masked)."""
+        cfg = S.SupernetConfig(3, 16, 2, 16, 4, 2, 12, 2, 8)
+        net = S.build_supernet(cfg, seed=4)
+        tokens = rng.integers(0, 12, size=(5, 8))
+        labels = rng.integers(0, 2, size=5)
+        weights = {mid: (m.w_down.data.copy(), m.w_up.data.copy())
+                   for mid, m in net.modules.items()}
+
+        def act(x):
+            return T.activation(T.Tensor(x), cfg.activation).data
+
+        want = {}
+        full = net.mask.copy()
+        h = net.embedding.data[tokens] + net.pos.data[:tokens.shape[1]]
+        for i in range(cfg.num_layers):
+            masked = full.copy()
+            sa, pa = S.PeftModuleId(i, "SA"), S.PeftModuleId(i, "PA")
+            masked.deactivate(sa)
+            masked.deactivate(pa)
+            net.apply_mask(masked)
+            base = net.layer_forward(T.Tensor(h), i)[0].data
+            net.apply_mask(full)
+            wd, wu = weights[sa]
+            want[sa] = act(base.reshape(-1, cfg.d_model) @ wd) @ wu
+            wd, wu = weights[pa]
+            want[pa] = act((h.reshape(-1, cfg.d_model) @ wd) @ wu)
+            h = net.layer_forward(T.Tensor(h), i)[0].data
+
+        opt = T.Adam(net.trainable_params(), lr=1e-3)
+        stats, _ = C.collect_stats(net, iter([(tokens, labels)]), steps=1, optimizer=opt)
+        assert set(stats) == set(want)
+        for mid, term in want.items():
+            assert stats[mid].activation_count == term.size
+            assert stats[mid].activation_abs_sum == pytest.approx(
+                float(np.abs(term).sum()), rel=1e-12, abs=0)
+
     def test_masked_modules_are_skipped(self):
         net, batches = self._setup()
         net.mask.deactivate(S.PeftModuleId(0, "SA"))

@@ -372,3 +372,17 @@ class TestCli:
         again = tmp_path / "again"
         assert cli.main(["report", "--run", str(out), "--out", str(again)]) == 0
         assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+    def test_report_that_cannot_be_rendered_writes_no_file(self, tmp_path, capsys):
+        config = self._write_config(tmp_path, mode="no-prune")
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        doc["per_seed"][0]["metrics"]["accuracy"] = float("nan")
+        (out / "report.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        fresh = tmp_path / "fresh"
+        assert cli.main(["report", "--run", str(out), "--out", str(fresh)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "JSON compliant" in err["message"]
+        assert not fresh.exists()

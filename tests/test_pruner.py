@@ -76,8 +76,7 @@ class TestSelection:
 
 def hybrid_scorer_for(net):
     parts = ST.partition_layers(net.config.num_layers)
-    strategy = ST.HybridStrategy({p.index: C.Criterion("weight") for p in parts})
-    return ST.hybrid_scorer(strategy, parts)
+    return ST.hybrid_scorer([(p, C.Criterion("weight")) for p in parts])
 
 
 class TestSearch:

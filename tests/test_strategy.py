@@ -56,22 +56,23 @@ class TestTendencyTable:
         table.add("weight", 2, "SA", n=1)
         table.add("gradient", 3, "PA", n=8)
         table.add("gradient", 2, "PA", n=2)
-        strategy = ST.assign_strategies(table)
-        assert strategy.criterion_for(1).tag == "weight"
-        assert strategy.criterion_for(3).tag == "gradient"
+        strategy = ST.assign_strategies(table, ST.partition_layers(8))
+        assert [p.index for p, _ in strategy] == [1, 2, 3, 4]
+        assert strategy[0][1].tag == "weight"
+        assert strategy[2][1].tag == "gradient"
 
     def test_assignment_ties_break_by_fixed_criterion_order(self):
         table = ST.TendencyTable.empty(C.default_criteria(), 4)
         table.add("zeros", 2, "SA", n=5)
         table.add("sensitivity", 2, "PA", n=5)
-        strategy = ST.assign_strategies(table)
+        strategy = ST.assign_strategies(table, ST.partition_layers(8))
         # both fully concentrated on partition 2; "zeros" comes first
-        assert strategy.criterion_for(2).tag == "zeros"
+        assert strategy[1][1].tag == "zeros"
 
     def test_empty_table_rejected(self):
         table = ST.TendencyTable.empty(C.default_criteria(), 4)
         with pytest.raises(ValueError, match="empty"):
-            ST.assign_strategies(table)
+            ST.assign_strategies(table, ST.partition_layers(8))
         with pytest.raises(ValueError, match="empty"):
             ST.global_best_criterion(table)
 
@@ -86,20 +87,21 @@ class TestTendencyTable:
 
 class TestStrategyDocs:
     def test_round_trip(self):
-        parts = ST.partition_layers(8)
-        strategy = ST.HybridStrategy({
-            1: C.Criterion("weight"), 2: C.Criterion("threshold", 0.05),
-            3: C.Criterion("gradient"), 4: C.Criterion("zeros"),
-        })
-        doc = strategy.to_doc(parts)
-        back, back_parts = ST.HybridStrategy.from_doc(doc)
-        assert back.assignment == strategy.assignment
-        assert back_parts == parts
+        criteria = [C.Criterion("weight"), C.Criterion("threshold", 0.05),
+                    C.Criterion("gradient"), C.Criterion("zeros")]
+        strategy = list(zip(ST.partition_layers(8), criteria))
+        doc = ST.strategy_to_doc(strategy)
+        assert ST.strategy_from_doc(doc) == strategy
 
-    def test_doc_rejects_unknown_criterion(self):
-        doc = {"partitions": [{"partition": 1, "lo": 0, "hi": 4, "criterion": "karma"}]}
+    @pytest.mark.parametrize("entry", [
+        {"criterion": "karma"},
+        {"criterion": "threshold", "threshold": float("nan")},
+        {"criterion": "threshold", "threshold": float("inf")},
+    ], ids=["karma", "nan-threshold", "inf-threshold"])
+    def test_doc_rejects_unknown_criterion(self, entry):
+        doc = {"partitions": [dict({"partition": 1, "lo": 0, "hi": 4}, **entry)]}
         with pytest.raises(ValueError):
-            ST.HybridStrategy.from_doc(doc)
+            ST.strategy_from_doc(doc)
 
 
 class TestPruneProbabilities:
@@ -151,9 +153,9 @@ class TestScorers:
 
     def test_hybrid_scorer_normalizes_within_partitions(self, rng):
         parts = ST.partition_layers(8)
-        strategy = ST.HybridStrategy({p.index: C.Criterion("weight") for p in parts})
+        strategy = [(p, C.Criterion("weight")) for p in parts]
         stats = self._stats_map(8, rng)
-        entries, crit_map = ST.hybrid_score_entries(stats, strategy, parts)
+        entries, crit_map = ST.hybrid_score_entries(stats, strategy)
         assert len(entries) == 16
         assert all(0.0 <= e[1] <= 1.0 for e in entries)
         assert set(crit_map.values()) == {"weight"}
@@ -162,10 +164,9 @@ class TestScorers:
             assert ranks == [1, 2, 3, 4]
 
     def test_hybrid_scorer_probability_vector_covers_all_modules(self, rng):
-        parts = ST.partition_layers(8)
-        strategy = ST.HybridStrategy({p.index: C.Criterion("gradient") for p in parts})
+        strategy = [(p, C.Criterion("gradient")) for p in ST.partition_layers(8)]
         stats = self._stats_map(8, rng)
-        pv, _ = ST.hybrid_scorer(strategy, parts)(stats, rng)
+        pv, _ = ST.hybrid_scorer(strategy)(stats, rng)
         assert sorted(pv.ids, key=S.PeftModuleId.sort_key) == sorted(
             stats, key=S.PeftModuleId.sort_key)
         assert pv.p.sum() == pytest.approx(1.0, abs=1e-9)
@@ -191,24 +192,22 @@ class TestWarmup:
         net, train = self._build()
         parts = ST.partition_layers(4)
         table = ST.warmup(
-            net, lambda rng: TK.Batcher(train, 10, rng), steps_per_round=2,
-            candidates=C.default_criteria(), rounds=1, k=2, partitions=parts,
-            lr=1e-3, seed=0)
+            net, train, candidates=C.default_criteria(), rounds=1, k=2,
+            partitions=parts, lr=1e-3, batch_size=10, seed=0)
         assert table.total() == 1 * 2 * 6
 
     def test_weights_restored_bit_identically(self):
         net, train = self._build()
         before = net.snapshot_trainable()
-        ST.warmup(net, lambda rng: TK.Batcher(train, 10, rng), 2,
-                  C.default_criteria(), rounds=2, k=1,
-                  partitions=ST.partition_layers(4), lr=1e-3, seed=0)
+        ST.warmup(net, train, C.default_criteria(), rounds=2, k=1,
+                  partitions=ST.partition_layers(4), lr=1e-3, batch_size=10, seed=0)
         after = net.snapshot_trainable()
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_warmup_is_deterministic(self):
         net, train = self._build()
-        args = (net, lambda rng: TK.Batcher(train, 10, rng), 2,
-                C.default_criteria(), 1, 2, ST.partition_layers(4), 1e-3, 0)
+        args = (net, train, C.default_criteria(), 1, 2, ST.partition_layers(4),
+                1e-3, 10, 0)
         a = ST.warmup(*args).counts
         b = ST.warmup(*args).counts
         assert np.array_equal(a, b)
@@ -216,5 +215,5 @@ class TestWarmup:
     def test_zero_rounds_rejected(self):
         net, train = self._build()
         with pytest.raises(ValueError):
-            ST.warmup(net, lambda rng: TK.Batcher(train, 10, rng), 2,
-                      C.default_criteria(), 0, 2, ST.partition_layers(4), 1e-3, 0)
+            ST.warmup(net, train, C.default_criteria(), 0, 2, ST.partition_layers(4),
+                      1e-3, 10, 0)

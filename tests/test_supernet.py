@@ -72,7 +72,7 @@ class TestMaskState:
 
 class TestForward:
     def test_logit_shape(self, net, tokens):
-        assert net.forward(tokens).data.shape == (3, 2)
+        assert net.forward(tokens)[0].data.shape == (3, 2)
 
     def test_too_long_sequence_rejected(self, net, rng):
         with pytest.raises(ValueError, match="max_seq_len"):
@@ -84,11 +84,13 @@ class TestForward:
         for mid in mask.ids():
             mask.deactivate(mid)
         net.apply_mask(mask)
-        reference = net.forward(tokens).data
+        logits, terms = net.forward(tokens)
+        assert terms == {}
+        reference = logits.data
         for mod in net.modules.values():
             mod.w_down.data = np.full_like(mod.w_down.data, np.nan)
             mod.w_up.data = np.full_like(mod.w_up.data, np.nan)
-        poisoned = net.forward(tokens).data
+        poisoned = net.forward(tokens)[0].data
         assert np.array_equal(reference, poisoned)
         assert np.all(np.isfinite(poisoned))
 
@@ -99,38 +101,36 @@ class TestForward:
         mid = S.PeftModuleId(2, "SA")
         mask.deactivate(mid)
         net.apply_mask(mask)
-        masked = net.forward(tokens).data
+        masked = net.forward(tokens)[0].data
         net.modules[mid].w_up.data = np.zeros_like(net.modules[mid].w_up.data)
         net.apply_mask(full)
-        zeroed = net.forward(tokens).data
+        zeroed = net.forward(tokens)[0].data
         assert np.allclose(masked, zeroed, atol=0, rtol=0)
 
     def test_pa_uses_layer_input_not_base(self, net, tokens):
         # making the PA branch depend only on h_in: perturbing a later
         # backbone weight must leave an earlier recorded PA term unchanged
-        record_a = {}
-        net.forward(tokens, record=record_a)
+        _, terms_a = net.forward(tokens)
         net.layers[3].w1.data = net.layers[3].w1.data + 1.0
-        record_b = {}
-        net.forward(tokens, record=record_b)
+        _, terms_b = net.forward(tokens)
         pa0 = S.PeftModuleId(0, "PA")
-        assert record_a[pa0] == record_b[pa0]
+        assert np.array_equal(terms_a[pa0], terms_b[pa0])
 
     def test_pa_linear_flag_changes_output(self, tokens):
         a = S.build_supernet(small_config(), seed=3)
         b = S.build_supernet(small_config(pa_linear=True), seed=3)
-        out_a = a.forward(tokens).data
-        out_b = b.forward(tokens).data
+        out_a = a.forward(tokens)[0].data
+        out_b = b.forward(tokens)[0].data
         assert not np.allclose(out_a, out_b)
 
     def test_predict_returns_argmax(self, net, tokens):
-        logits = net.forward(tokens).data
+        logits = net.forward(tokens)[0].data
         assert np.array_equal(net.predict(tokens), logits.argmax(axis=1))
 
     def test_gradients_flow_to_all_active_adapters(self, net, tokens):
         params = net.trainable_params()
         labels = np.array([0, 1, 0])
-        loss = T.softmax_cross_entropy(net.forward(tokens), labels)
+        loss = T.softmax_cross_entropy(net.forward(tokens)[0], labels)
         T.backward(loss, params=params)
         for mid in net.mask.active_ids():
             g = net.modules[mid].flat_grads()
@@ -140,7 +140,7 @@ class TestForward:
         before = [p.data.copy() for p in net.backbone_params()]
         params = net.trainable_params()
         opt = T.Adam(params, lr=0.01)
-        loss = T.softmax_cross_entropy(net.forward(tokens), np.array([0, 1, 0]))
+        loss = T.softmax_cross_entropy(net.forward(tokens)[0], np.array([0, 1, 0]))
         T.backward(loss, params=params)
         opt.step()
         for p, b in zip(net.backbone_params(), before):
@@ -169,12 +169,12 @@ class TestParamsAndSnapshots:
     def test_build_is_deterministic(self, tokens):
         a = S.build_supernet(small_config(), seed=42)
         b = S.build_supernet(small_config(), seed=42)
-        assert np.array_equal(a.forward(tokens).data, b.forward(tokens).data)
+        assert np.array_equal(a.forward(tokens)[0].data, b.forward(tokens)[0].data)
 
     def test_different_seeds_differ(self, tokens):
         a = S.build_supernet(small_config(), seed=1)
         b = S.build_supernet(small_config(), seed=2)
-        assert not np.array_equal(a.forward(tokens).data, b.forward(tokens).data)
+        assert not np.array_equal(a.forward(tokens)[0].data, b.forward(tokens)[0].data)
 
 
 class TestReinitialize:

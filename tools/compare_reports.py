@@ -14,7 +14,8 @@ imports, ``report``, and the three benchmark workloads of
 directories is then compared, together with each command's exit code and
 printed output (kept in ``commands.json``). The exit code is 0 when every
 file is byte-identical and 1 otherwise, with each differing file named
-and the first lines of its diff shown.
+and the first lines of its diff shown. The last line gives each tree's
+count of non-blank, non-comment lines in ``peftsearch/*.py``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import glob
 import io
 import json
 import os
@@ -132,6 +134,16 @@ def _files(top: str) -> dict:
     return found
 
 
+def src_lines(src: str) -> int:
+    """Non-blank lines of ``src/peftsearch/*.py`` that are not comments."""
+    count = 0
+    for path in sorted(glob.glob(os.path.join(src, "peftsearch", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            count += sum(1 for line in fh
+                         if line.strip() and not line.lstrip().startswith("#"))
+    return count
+
+
 def compare(src_a: str, src_b: str) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -160,6 +172,7 @@ def compare(src_a: str, src_b: str) -> int:
         for line in diff[:12]:
             print("    " + line)
     print(f"{len(set(a) | set(b))} files, {differing} differing")
+    print(f"src lines: {src_lines(src_a)} -> {src_lines(src_b)}")
     return 1 if differing else 0
 
 
