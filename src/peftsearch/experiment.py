@@ -314,6 +314,9 @@ def export_architecture(report_doc: dict) -> dict:
 
 
 def import_strategy(doc: dict, config: ExperimentConfig) -> ExperimentConfig:
+    # random-prune scores at random and no-prune does not search at all
+    if config.mode in ("random-prune", "no-prune"):
+        raise ConfigError(f"mode {config.mode!r} does not use an imported strategy")
     _strategy_partitions(doc, config.net.num_layers)
     return replace(config, strategy_doc=doc)
 

@@ -153,10 +153,70 @@ class MaskState:
         return isinstance(other, MaskState) and self._flags == other._flags
 
 
-def _proj(x: Tensor, w: Tensor) -> Tensor:
+def _proj(x, w):
     """(b, s, d) @ (d, n) as one flat GEMM."""
     b, s, d = x.shape
-    return T.reshape(T.matmul(T.reshape(x, (b * s, d)), w), (b, s, w.shape[1]))
+    return (x.reshape((b * s, d)) @ w).reshape((b, s, w.shape[1]))
+
+
+def _proj_dx(g, w):
+    """dL/dx of ``_proj(x, w)`` for the incoming gradient ``g``."""
+    b, s, n = g.shape
+    return (g.reshape((b * s, n)) @ w.T).reshape((b, s, w.shape[0]))
+
+
+def _proj_dw(g, x):
+    """dL/dw of ``_proj(x, w)`` for the incoming gradient ``g``."""
+    b, s, n = g.shape
+    return x.reshape((b * s, x.shape[2])).T @ g.reshape((b * s, n))
+
+
+def _backbone(x, layer, nh: int, activation: str, need_x: bool):
+    """The frozen attention and feed-forward sublayers (post-LN) on arrays.
+
+    Returns (base, backward), where ``backward`` maps dL/dbase to dL/dx, or
+    is None when ``need_x`` is false. Only what ``backward`` reads is kept.
+    """
+    act_fwd, act_bwd = T.ACTIVATIONS[activation]
+    b, s, d = x.shape
+    dh = d // nh
+    x2 = x.reshape((b * s, d))
+
+    def heads(w):
+        return (x2 @ w.data).reshape((b, s, nh, dh)).transpose((0, 2, 1, 3))
+
+    q, k, v = heads(layer.wq), heads(layer.wk), heads(layer.wv)
+    scale = 1.0 / math.sqrt(dh)
+    attn = T.softmax_fwd((q @ k.transpose((0, 1, 3, 2))) * scale)
+    ctx = (attn @ v).transpose((0, 2, 1, 3)).reshape((b, s, d))
+    a, ln1 = T.layer_norm_fwd(x + _proj(ctx, layer.wo.data), layer.ln1_g.data,
+                              layer.ln1_b.data)
+    f, f_saved = act_fwd(_proj(a, layer.w1.data) + layer.b1.data)
+    base, ln2 = T.layer_norm_fwd(a + (_proj(f, layer.w2.data) + layer.b2.data),
+                                 layer.ln2_g.data, layer.ln2_b.data)
+    if not need_x:
+        return base, None
+
+    def backward(g):
+        g = T.layer_norm_bwd(g, layer.ln2_g.data, ln2)
+        g = g + _proj_dx(act_bwd(_proj_dx(g, layer.w2.data), f_saved), layer.w1.data)
+        g = T.layer_norm_bwd(g, layer.ln1_g.data, ln1)
+        g_ctx = _proj_dx(g, layer.wo.data).reshape((b, s, nh, dh)).transpose((0, 2, 1, 3))
+        g_v = np.swapaxes(attn, -1, -2) @ g_ctx
+        g_scores = T.softmax_bwd(g_ctx @ np.swapaxes(v, -1, -2), attn) * scale
+        g_q = g_scores @ k
+        g_k = (np.swapaxes(q, -1, -2) @ g_scores).transpose((0, 1, 3, 2))
+
+        def merge(g_heads, w):
+            return _proj_dx(g_heads.transpose((0, 2, 1, 3)).reshape((b, s, d)), w.data)
+
+        # the engine's order: the residual, then q, k and v
+        g = g + merge(g_q, layer.wq)
+        g += merge(g_k, layer.wk)
+        g += merge(g_v, layer.wv)
+        return g
+
+    return base, backward
 
 
 @dataclass
@@ -222,57 +282,63 @@ class Supernet:
     # -- forward --------------------------------------------------------
 
     def layer_forward(self, h_in: Tensor, layer_index: int):
-        """One encoder layer plus its (possibly masked) adapter terms.
-        Returns (output, {module id: term array} of the active adapters)."""
+        """One encoder layer plus its active adapters, as one graph node.
+
+        Returns (output, {module id: term array} of the active adapters).
+        The node's backward gives dL/dh_in, when ``h_in`` needs it, and the
+        active adapters' ``w_down``/``w_up`` gradients; the backbone is
+        frozen. A layer whose input needs no gradient and which has no
+        active adapter returns a constant.
+        """
         cfg = self.config
-        layer = self.layers[layer_index]
-        x = h_in
-
-        # attention sublayer, post-LN
-        a = self._attention(x, layer)
-        a = T.layer_norm(T.add(x, a), layer.ln1_g, layer.ln1_b)
-
-        # feed-forward sublayer, post-LN
-        f = T.add(_proj(a, layer.w1), layer.b1)
-        f = T.activation(f, cfg.activation)
-        f = T.add(_proj(f, layer.w2), layer.b2)
-        base = T.layer_norm(T.add(a, f), layer.ln2_g, layer.ln2_b)
-
+        act_fwd, act_bwd = T.ACTIVATIONS[cfg.activation]
+        sa_id = PeftModuleId(layer_index, KIND_SA)
+        pa_id = PeftModuleId(layer_index, KIND_PA)
+        sa = self.modules[sa_id] if self.mask.is_active(sa_id) else None
+        pa = self.modules[pa_id] if self.mask.is_active(pa_id) else None
+        need_x = T.needs_grad(h_in)
+        x = h_in.data
+        base, backbone_bwd = _backbone(x, self.layers[layer_index], cfg.num_heads,
+                                       cfg.activation, need_x)
         out = base
         terms = {}
-        sa_id = PeftModuleId(layer_index, KIND_SA)
-        if self.mask.is_active(sa_id):
-            m = self.modules[sa_id]
-            term = _proj(T.activation(_proj(base, m.w_down), cfg.activation), m.w_up)
-            terms[sa_id] = term.data
-            out = T.add(out, term)
-        pa_id = PeftModuleId(layer_index, KIND_PA)
-        if self.mask.is_active(pa_id):
-            m = self.modules[pa_id]
-            term = _proj(_proj(h_in, m.w_down), m.w_up)
+        parents = [h_in]
+        if sa is not None:
+            sa_in, sa_down, sa_up = base, sa.w_down.data, sa.w_up.data
+            sa_hidden, sa_saved = act_fwd(_proj(sa_in, sa_down))
+            terms[sa_id] = _proj(sa_hidden, sa_up)
+            out = out + terms[sa_id]
+            parents += sa.params()
+        if pa is not None:
+            pa_down, pa_up = pa.w_down.data, pa.w_up.data
+            pa_hidden = _proj(x, pa_down)
+            term = _proj(pa_hidden, pa_up)
             if not cfg.pa_linear:
-                term = T.activation(term, cfg.activation)
-            terms[pa_id] = term.data
-            out = T.add(out, term)
-        return out, terms
+                term, pa_saved = act_fwd(term)
+            terms[pa_id] = term
+            out = out + term
+            parents += pa.params()
+        if not (need_x or terms):
+            return Tensor(out), terms
 
-    def _attention(self, x: Tensor, layer: EncoderLayer) -> Tensor:
-        cfg = self.config
-        b, s, d = x.shape
-        nh = cfg.num_heads
-        dh = d // nh
+        def bwd(g, needs):
+            grads = []
+            g_base = g
+            if sa is not None:
+                g_hidden = act_bwd(_proj_dx(g, sa_up), sa_saved)
+                grads += [_proj_dw(g_hidden, sa_in), _proj_dw(g, sa_hidden)]
+                if need_x:
+                    g_base = g + _proj_dx(g_hidden, sa_down)
+            gx = backbone_bwd(g_base) if need_x else None
+            if pa is not None:
+                g_term = g if cfg.pa_linear else act_bwd(g, pa_saved)
+                g_hidden = _proj_dx(g_term, pa_up)
+                grads += [_proj_dw(g_hidden, x), _proj_dw(g_term, pa_hidden)]
+                if need_x:
+                    gx += _proj_dx(g_hidden, pa_down)
+            return (gx, *grads)
 
-        def split_heads(t):
-            return T.transpose(T.reshape(t, (b, s, nh, dh)), (0, 2, 1, 3))
-
-        q = split_heads(_proj(x, layer.wq))
-        k = split_heads(_proj(x, layer.wk))
-        v = split_heads(_proj(x, layer.wv))
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        attn = T.softmax(scores, axis=-1)
-        ctx = T.matmul(attn, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
-        return _proj(ctx, layer.wo)
+        return Tensor(out, _parents=tuple(parents), _backward_fn=bwd), terms
 
     def forward(self, tokens: np.ndarray):
         """Token ids (batch x seq) to (class logits, every layer's terms)."""
@@ -282,10 +348,10 @@ class Supernet:
         seq = tokens.shape[1]
         if seq > self.config.max_seq_len:
             raise ValueError(f"sequence length {seq} exceeds max_seq_len")
-        x = T.embedding(self.embedding, tokens)
-        pos = Tensor(self.pos.data[:seq], _parents=(self.pos,),
-                     _backward_fn=lambda g, needs: (None,))
-        x = T.add(x, pos)
+        # the layer-0 input is a graph node, so the backward runs through
+        # every layer whichever adapters are active and a step's cost does
+        # not depend on the mask
+        x = T.add(T.embedding(self.embedding, tokens), Tensor(self.pos.data[:seq]))
         terms = {}
         for i in range(self.config.num_layers):
             x, layer_terms = self.layer_forward(x, i)

@@ -42,7 +42,7 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _needs_grad(t: Tensor) -> bool:
+def needs_grad(t: Tensor) -> bool:
     # Leaves without requires_grad (frozen weights, inputs) never need a
     # gradient; interior nodes always do so flow can continue upstream.
     return t.requires_grad or bool(t._parents)
@@ -79,7 +79,7 @@ def backward(loss: Tensor, params=()):
     for t in reversed(order):
         if t._backward_fn is None or t.grad is None:
             continue
-        needs = tuple(_needs_grad(p) for p in t._parents)
+        needs = tuple(needs_grad(p) for p in t._parents)
         grads = t._backward_fn(t.grad, needs)
         for parent, g, need in zip(t._parents, grads, needs):
             if g is None or not need:
@@ -103,7 +103,94 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# array kernels
+#
+# Each forward returns (output, what its backward reads). The graph
+# primitives below wrap them, and so does the fused encoder layer in
+# supernet.py, so every formula has one home.
+
+
+def relu_fwd(v):
+    mask = v > 0
+    return np.where(mask, v, 0.0), mask
+
+
+def relu_bwd(g, mask):
+    return g * mask
+
+
+def gelu_fwd(v):
+    # tanh approximation with constant sqrt(2/pi); the backward is exact
+    # for this approximation.
+    v2 = v * v
+    u = v2 * v
+    u *= 0.044715
+    u += v
+    u *= _GELU_C
+    t = np.tanh(u, out=u)
+    out = 1.0 + t
+    out *= v
+    out *= 0.5
+    return out, (v, t)
+
+
+def gelu_bwd(g, saved):
+    # d/dv of 0.5*v*(1+t): 0.5*(1+t) + 0.5*v*(1-t^2)*dinner
+    v, t = saved
+    dinner = (v * v) * (3 * 0.044715)
+    dinner += 1.0
+    dinner *= _GELU_C
+    dinner *= 1.0 - t * t
+    dinner *= v
+    dinner += 1.0 + t
+    dinner *= 0.5
+    dinner *= g
+    return dinner
+
+
+# kind -> (forward, backward)
+ACTIVATIONS = {"relu": (relu_fwd, relu_bwd), "gelu": (gelu_fwd, gelu_bwd)}
+
+
+def softmax_fwd(x, axis=-1):
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def softmax_bwd(g, y, axis=-1):
+    dot = (g * y).sum(axis=axis, keepdims=True)
+    return y * (g - dot)
+
+
+def layer_norm_fwd(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / x.shape[-1]
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, (xhat, inv)
+
+
+def layer_norm_bwd(g, gamma, saved):
+    """dL/dx; gamma and beta gradients are the graph primitive's."""
+    xhat, inv = saved
+    gh = g * gamma
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gh - m1 - xhat * m2)
+
+
+# ---------------------------------------------------------------------------
 # primitives
+
+
+def _unary(x: Tensor, fwd, bwd_kernel) -> Tensor:
+    out_data, saved = fwd(x.data)
+
+    def bwd(g, needs):
+        return (bwd_kernel(g, saved) if needs[0] else None,)
+
+    return Tensor(out_data, _parents=(x,), _backward_fn=bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -177,43 +264,11 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def bwd(g, needs):
-        return (g * mask if needs[0] else None,)
-
-    return Tensor(np.where(mask, x.data, 0.0), _parents=(x,), _backward_fn=bwd)
+    return _unary(x, relu_fwd, relu_bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
-    # tanh approximation with constant sqrt(2/pi); derivative is exact for
-    # this approximation.
-    v = x.data
-    v2 = v * v
-    u = v2 * v
-    u *= 0.044715
-    u += v
-    u *= _GELU_C
-    t = np.tanh(u, out=u)
-    out_data = 1.0 + t
-    out_data *= v
-    out_data *= 0.5
-
-    def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        # d/dv of 0.5*v*(1+t): 0.5*(1+t) + 0.5*v*(1-t^2)*dinner
-        dinner = v2 * (3 * 0.044715)
-        dinner += 1.0
-        dinner *= _GELU_C
-        dinner *= 1.0 - t * t
-        dinner *= v
-        dinner += 1.0 + t
-        dinner *= 0.5
-        dinner *= g
-        return (dinner,)
-
-    return Tensor(out_data, _parents=(x,), _backward_fn=bwd)
+    return _unary(x, gelu_fwd, gelu_bwd)
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
@@ -226,25 +281,17 @@ def activation(x: Tensor, kind: str) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = softmax_fwd(x.data, axis)
 
     def bwd(g, needs):
-        if not needs[0]:
-            return (None,)
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        return (softmax_bwd(g, y, axis) if needs[0] else None,)
 
     return Tensor(y, _parents=(x,), _backward_fn=bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gamma.data + beta.data
+    out_data, saved = layer_norm_fwd(x.data, gamma.data, beta.data, eps)
+    xhat = saved[0]
 
     def bwd(g, needs):
         gx = ggamma = gbeta = None
@@ -253,10 +300,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         if needs[2]:
             gbeta = _unbroadcast(g, beta.data.shape)
         if needs[0]:
-            gh = g * gamma.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (gh - m1 - xhat * m2)
+            gx = layer_norm_bwd(g, gamma.data, saved)
         return gx, ggamma, gbeta
 
     return Tensor(out_data, _parents=(x, gamma, beta), _backward_fn=bwd)

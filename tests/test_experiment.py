@@ -336,6 +336,20 @@ class TestCli:
         assert err["error"] == "ConfigError" and "partitions" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["random-prune", "no-prune"])
+    def test_strategy_import_in_a_mode_that_ignores_it_fails_without_a_report(
+            self, tmp_path, capsys, mode):
+        config = self._write_config(tmp_path)
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"partitions": [
+            {"partition": 1, "lo": 0, "hi": 4, "criterion": "weight"}]}), encoding="utf-8")
+        out = tmp_path / "run"
+        assert cli.main(["import-strategy", "--config", config, "--strategy", str(strategy),
+                         "--mode", mode, "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and mode in err["message"]
+        assert not out.exists()
+
     def test_epochs_count_the_examples_served(self, tmp_path, capsys, monkeypatch):
         # 50 examples in batches of 20: every epoch ends with a short batch
         config = self._write_config(tmp_path, task=dataclasses.replace(TASK, train_size=50))

@@ -1,3 +1,5 @@
+import itertools
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -145,6 +147,120 @@ class TestForward:
         opt.step()
         for p, b in zip(net.backbone_params(), before):
             assert np.array_equal(p.data, b)
+
+
+# ---------------------------------------------------------------------------
+# the per-op layer composition, kept as the oracle of the fused layer
+
+
+def _ref_proj(x, w):
+    b, s, d = x.shape
+    return T.reshape(T.matmul(T.reshape(x, (b * s, d)), w), (b, s, w.shape[1]))
+
+
+def _ref_attention(net, x, layer):
+    b, s, d = x.shape
+    nh = net.config.num_heads
+    dh = d // nh
+
+    def split_heads(t):
+        return T.transpose(T.reshape(t, (b, s, nh, dh)), (0, 2, 1, 3))
+
+    q = split_heads(_ref_proj(x, layer.wq))
+    k = split_heads(_ref_proj(x, layer.wk))
+    v = split_heads(_ref_proj(x, layer.wv))
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    ctx = T.matmul(T.softmax(scores, axis=-1), v)
+    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, s, d))
+    return _ref_proj(ctx, layer.wo)
+
+
+def reference_layer(net, h_in, i):
+    """One layer built from the graph primitives, one node per op."""
+    cfg = net.config
+    layer = net.layers[i]
+    a = T.layer_norm(T.add(h_in, _ref_attention(net, h_in, layer)), layer.ln1_g, layer.ln1_b)
+    f = T.activation(T.add(_ref_proj(a, layer.w1), layer.b1), cfg.activation)
+    f = T.add(_ref_proj(f, layer.w2), layer.b2)
+    out = base = T.layer_norm(T.add(a, f), layer.ln2_g, layer.ln2_b)
+    terms = {}
+    sa_id, pa_id = S.PeftModuleId(i, "SA"), S.PeftModuleId(i, "PA")
+    if net.mask.is_active(sa_id):
+        m = net.modules[sa_id]
+        term = _ref_proj(T.activation(_ref_proj(base, m.w_down), cfg.activation), m.w_up)
+        terms[sa_id] = term.data
+        out = T.add(out, term)
+    if net.mask.is_active(pa_id):
+        m = net.modules[pa_id]
+        term = _ref_proj(_ref_proj(h_in, m.w_down), m.w_up)
+        if not cfg.pa_linear:
+            term = T.activation(term, cfg.activation)
+        terms[pa_id] = term.data
+        out = T.add(out, term)
+    return out, terms
+
+
+def reference_forward(net, tokens):
+    seq = tokens.shape[1]
+    x = T.add(T.embedding(net.embedding, tokens), T.Tensor(net.pos.data[:seq]))
+    terms = {}
+    for i in range(net.config.num_layers):
+        x, layer_terms = reference_layer(net, x, i)
+        terms.update(layer_terms)
+    return T.add(T.matmul(T.mean(x, axis=1), net.head_w), net.head_b), terms
+
+
+_MASKS = {
+    "all-on": lambda mid: True,
+    "all-off": lambda mid: False,
+    "layer0-off": lambda mid: mid.layer != 0,
+    "sa-off": lambda mid: mid.kind != "SA",
+    "pa-off": lambda mid: mid.kind != "PA",
+}
+
+
+def _grads(params):
+    return [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("activation,pa_linear,mask,batch", list(itertools.product(
+    ("gelu", "relu"), (False, True), sorted(_MASKS), (1, 3))))
+def test_fused_layer_is_bit_equal_to_the_per_op_layer(activation, pa_linear, mask, batch):
+    net = S.build_supernet(small_config(activation=activation, pa_linear=pa_linear), seed=5)
+    flags = {mid: _MASKS[mask](mid) for mid in net.modules}
+    net.apply_mask(S.MaskState(flags.keys(), flags))
+    rng = np.random.default_rng(batch)
+    tokens = rng.integers(0, 12, size=(batch, 8))
+    labels = rng.integers(0, 2, size=batch)
+    params = net.trainable_params()
+
+    # whole net: logits, terms and every trainable gradient
+    results = []
+    for forward in (net.forward, lambda t: reference_forward(net, t)):
+        logits, terms = forward(tokens)
+        T.backward(T.softmax_cross_entropy(logits, labels), params=params)
+        results.append((logits.data, terms, _grads(params)))
+    (fused, fused_terms, fused_grads), (ref, ref_terms, ref_grads) = results
+    assert np.array_equal(fused, ref)
+    assert fused_terms.keys() == ref_terms.keys()
+    assert all(np.array_equal(fused_terms[m], ref_terms[m]) for m in ref_terms)
+    assert all(np.array_equal(a, b) for a, b in zip(fused_grads, ref_grads))
+
+    # one layer at a time, with an input that needs its gradient
+    up = T.Tensor(rng.normal(size=(batch, 8, 16)))
+    for i in range(net.config.num_layers):
+        h_data = rng.normal(size=(batch, 8, 16))
+        results = []
+        for layer in (net.layer_forward, lambda h, i: reference_layer(net, h, i)):
+            h = T.Tensor(h_data, requires_grad=True)
+            out, terms = layer(h, i)
+            T.backward(T.total(T.mul(out, up)), params=[h] + params)
+            results.append((out.data, terms, _grads([h] + params)))
+        (out, terms, grads), (ref_out, ref_terms, ref_grads) = results
+        assert np.array_equal(out, ref_out)
+        assert terms.keys() == ref_terms.keys()
+        assert all(np.array_equal(terms[m], ref_terms[m]) for m in ref_terms)
+        assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
 
 
 class TestParamsAndSnapshots:

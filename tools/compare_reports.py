@@ -8,7 +8,8 @@ fixed set of ``peftsearch`` commands in a fresh temporary directory, with
 relative ``--out`` paths, so the ``report_dir`` a report records is the
 same for both trees. The set covers a small config in every mode, low
 fidelity, ``reinit_survivors: false``, a split the batch size does not
-divide, a budget that needs no prune round, both exports and both
+divide, a relu net with a linear parallel adapter, a budget that needs no
+prune round, both exports and both
 imports, ``report``, and the three benchmark workloads of
 ``perfbench/workloads.py`` at seed 1. Every file left in the two
 directories is then compared, together with each command's exit code and
@@ -60,6 +61,7 @@ def inputs() -> dict:
         "noreinit.json": dict(SMALL, schedule={"reinit_survivors": False}),
         # 50 examples in batches of 20: every pass ends with a short batch
         "odd.json": dict(SMALL, task=dict(TASK, train_size=50)),
+        "relu.json": dict(SMALL, supernet=dict(NET, activation="relu", pa_linear=True)),
     }
     for name in workloads.WORKLOADS:
         spec = workloads.make(name, WORKLOAD_SEED)
@@ -79,6 +81,7 @@ def commands(docs: dict):
                           "--out", "runs/low"]),
         ("no-reinit", ["run", "--config", "noreinit.json", "--out", "runs/noreinit"]),
         ("odd-split", ["run", "--config", "odd.json", "--out", "runs/odd"]),
+        ("relu-pa-linear", ["run", "--config", "relu.json", "--out", "runs/relu"]),
         ("no-rounds", ["run", "--config", "small.json", "--budget", "1000000",
                        "--out", "runs/no-rounds"]),
         ("export-strategy", ["export-strategy", "--run", "runs/hybrid",
