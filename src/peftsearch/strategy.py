@@ -191,13 +191,16 @@ def prune_probabilities(entries) -> ProbabilityVector:
 
     ``entries``: (module id, normalized unimportance in [0, 1], rank) per
     active module. Rank weights are sigmoid of the z-scored ranks so the
-    weighting stays graded for large module counts.
+    weighting stays graded for large module counts. Raises
+    FloatingPointError, naming the modules, on a non-finite unimportance
+    or probability.
     """
     entries = list(entries)
     if not entries:
         raise ValueError("cannot compute pruning probabilities for zero modules")
     ids = [e[0] for e in entries]
     theta_hat = np.array([float(e[1]) for e in entries])
+    _require_finite("unimportance", ids, theta_hat)
     ranks = np.array([float(e[2]) for e in entries])
     std = ranks.std()
     z = (ranks - ranks.mean()) / std if std > 0 else np.zeros_like(ranks)
@@ -205,7 +208,15 @@ def prune_probabilities(entries) -> ProbabilityVector:
     logits = kw * theta_hat
     logits = logits - logits.max()
     e = np.exp(logits)
-    return ProbabilityVector(ids=ids, p=e / e.sum())
+    p = e / e.sum()
+    _require_finite("pruning probability", ids, p)
+    return ProbabilityVector(ids=ids, p=p)
+
+
+def _require_finite(what, ids, values):
+    bad = [str(mid) for mid, v in zip(ids, values) if not np.isfinite(v)]
+    if bad:
+        raise FloatingPointError(f"non-finite {what} for {', '.join(bad)}")
 
 
 def hybrid_score_entries(stats_map, strategy):

@@ -189,11 +189,18 @@ def _backbone(x, layer, nh: int, activation: str, need_x: bool):
     scale = 1.0 / math.sqrt(dh)
     attn = T.softmax_fwd((q @ k.transpose((0, 1, 3, 2))) * scale)
     ctx = (attn @ v).transpose((0, 2, 1, 3)).reshape((b, s, d))
-    a, ln1 = T.layer_norm_fwd(x + _proj(ctx, layer.wo.data), layer.ln1_g.data,
-                              layer.ln1_b.data)
-    f, f_saved = act_fwd(_proj(a, layer.w1.data) + layer.b1.data)
-    base, ln2 = T.layer_norm_fwd(a + (_proj(f, layer.w2.data) + layer.b2.data),
-                                 layer.ln2_g.data, layer.ln2_b.data)
+    # the bias and residual adds go in place into GEMM outputs that the
+    # backward does not read; x + p and p + x are the same bits
+    p = _proj(ctx, layer.wo.data)
+    p += x
+    a, ln1 = T.layer_norm_fwd(p, layer.ln1_g.data, layer.ln1_b.data)
+    p = _proj(a, layer.w1.data)
+    p += layer.b1.data
+    f, f_saved = act_fwd(p)
+    p = _proj(f, layer.w2.data)
+    p += layer.b2.data
+    p += a
+    base, ln2 = T.layer_norm_fwd(p, layer.ln2_g.data, layer.ln2_b.data)
     if not need_x:
         return base, None
 
@@ -281,14 +288,14 @@ class Supernet:
 
     # -- forward --------------------------------------------------------
 
-    def layer_forward(self, h_in: Tensor, layer_index: int):
+    def layer_forward(self, h_in: Tensor, layer_index: int, grad: bool = True):
         """One encoder layer plus its active adapters, as one graph node.
 
         Returns (output, {module id: term array} of the active adapters).
         The node's backward gives dL/dh_in, when ``h_in`` needs it, and the
         active adapters' ``w_down``/``w_up`` gradients; the backbone is
-        frozen. A layer whose input needs no gradient and which has no
-        active adapter returns a constant.
+        frozen. With ``grad`` false the output is a constant and the layer
+        keeps nothing for a backward.
         """
         cfg = self.config
         act_fwd, act_bwd = T.ACTIVATIONS[cfg.activation]
@@ -296,7 +303,7 @@ class Supernet:
         pa_id = PeftModuleId(layer_index, KIND_PA)
         sa = self.modules[sa_id] if self.mask.is_active(sa_id) else None
         pa = self.modules[pa_id] if self.mask.is_active(pa_id) else None
-        need_x = T.needs_grad(h_in)
+        need_x = grad and T.needs_grad(h_in)
         x = h_in.data
         base, backbone_bwd = _backbone(x, self.layers[layer_index], cfg.num_heads,
                                        cfg.activation, need_x)
@@ -318,7 +325,7 @@ class Supernet:
             terms[pa_id] = term
             out = out + term
             parents += pa.params()
-        if not (need_x or terms):
+        if not grad:
             return Tensor(out), terms
 
         def bwd(g, needs):
@@ -340,27 +347,32 @@ class Supernet:
 
         return Tensor(out, _parents=tuple(parents), _backward_fn=bwd), terms
 
-    def forward(self, tokens: np.ndarray):
-        """Token ids (batch x seq) to (class logits, every layer's terms)."""
+    def forward(self, tokens: np.ndarray, grad: bool = True):
+        """Token ids (batch x seq) to (class logits, every layer's terms).
+
+        With ``grad`` false nothing is kept for a backward: the logits are
+        a constant and each layer's arrays are freed as the next one runs.
+        """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ValueError("tokens must be batch x seq")
         seq = tokens.shape[1]
         if seq > self.config.max_seq_len:
             raise ValueError(f"sequence length {seq} exceeds max_seq_len")
-        # the layer-0 input is a graph node, so the backward runs through
-        # every layer whichever adapters are active and a step's cost does
-        # not depend on the mask
-        x = T.add(T.embedding(self.embedding, tokens), Tensor(self.pos.data[:seq]))
+        # the frozen embedding needs no gradient, so the layer-0 input is a
+        # constant and layer 0 runs no backbone backward; every layer
+        # returns a graph node in grad mode, so layers 1..L-1 always do,
+        # and a step's cost does not depend on the mask
+        x = Tensor(T.embedding(self.embedding, tokens).data + self.pos.data[:seq])
         terms = {}
         for i in range(self.config.num_layers):
-            x, layer_terms = self.layer_forward(x, i)
+            x, layer_terms = self.layer_forward(x, i, grad)
             terms.update(layer_terms)
-        pooled = T.mean(x, axis=1)
-        return T.add(T.matmul(pooled, self.head_w), self.head_b), terms
+        logits = T.add(T.matmul(T.mean(x, axis=1), self.head_w), self.head_b)
+        return (logits if grad else Tensor(logits.data)), terms
 
     def predict(self, tokens: np.ndarray) -> np.ndarray:
-        return self.forward(tokens)[0].data.argmax(axis=1)
+        return self.forward(tokens, grad=False)[0].data.argmax(axis=1)
 
     def _all_trainable(self):
         """Every adapter array, masked or not, then the head."""

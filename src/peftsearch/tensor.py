@@ -108,6 +108,22 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 # Each forward returns (output, what its backward reads). The graph
 # primitives below wrap them, and so does the fused encoder layer in
 # supernet.py, so every formula has one home.
+#
+# gelu and layer norm run in blocks of rows written into preallocated
+# C-order outputs (so that the blocks are views), and the temporaries of a
+# block stay in a 2 MB L2 cache. Every step is elementwise or per row, so
+# the bits do not depend on the split.
+
+_BLOCK = 1 << 15  # elements of the first array per block
+
+
+def _row_blocks(*arrays):
+    """Matching blocks of rows (along the last axis) of ``arrays``; each
+    holds at most _BLOCK elements of the first array, and at least one row."""
+    rows = [a.reshape(-1, a.shape[-1]) for a in arrays]
+    step = max(1, _BLOCK // arrays[0].shape[-1])
+    for lo in range(0, rows[0].shape[0], step):
+        yield tuple(r[lo:lo + step] for r in rows)
 
 
 def relu_fwd(v):
@@ -122,29 +138,34 @@ def relu_bwd(g, mask):
 def gelu_fwd(v):
     # tanh approximation with constant sqrt(2/pi); the backward is exact
     # for this approximation.
-    v2 = v * v
-    u = v2 * v
-    u *= 0.044715
-    u += v
-    u *= _GELU_C
-    t = np.tanh(u, out=u)
-    out = 1.0 + t
-    out *= v
-    out *= 0.5
+    out, t = np.empty(v.shape), np.empty(v.shape)
+    for vb, ob, tb in _row_blocks(v, out, t):
+        u = vb * vb
+        u *= vb
+        u *= 0.044715
+        u += vb
+        u *= _GELU_C
+        np.tanh(u, out=tb)
+        np.add(1.0, tb, out=ob)
+        ob *= vb
+        ob *= 0.5
     return out, (v, t)
 
 
 def gelu_bwd(g, saved):
     # d/dv of 0.5*v*(1+t): 0.5*(1+t) + 0.5*v*(1-t^2)*dinner
     v, t = saved
-    dinner = (v * v) * (3 * 0.044715)
-    dinner += 1.0
-    dinner *= _GELU_C
-    dinner *= 1.0 - t * t
-    dinner *= v
-    dinner += 1.0 + t
-    dinner *= 0.5
-    dinner *= g
+    dinner = np.empty(v.shape)
+    for gb, vb, tb, db in _row_blocks(g, v, t, dinner):
+        np.multiply(vb, vb, out=db)
+        db *= 3 * 0.044715
+        db += 1.0
+        db *= _GELU_C
+        db *= 1.0 - tb * tb
+        db *= vb
+        db += 1.0 + tb
+        db *= 0.5
+        db *= gb
     return dinner
 
 
@@ -163,21 +184,31 @@ def softmax_bwd(g, y, axis=-1):
 
 
 def layer_norm_fwd(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / x.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return xhat * gamma + beta, (xhat, inv)
+    out, xhat = np.empty(x.shape), np.empty(x.shape)
+    inv = np.empty(x.shape[:-1] + (1,))
+    for xb, ob, hb, ib in _row_blocks(x, out, xhat, inv):
+        mu = xb.mean(axis=-1, keepdims=True)
+        xc = np.subtract(xb, mu, out=hb)
+        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / x.shape[-1]
+        np.divide(1.0, np.sqrt(var + eps), out=ib)
+        xc *= ib
+        np.multiply(xc, gamma, out=ob)
+        ob += beta
+    return out, (xhat, inv)
 
 
 def layer_norm_bwd(g, gamma, saved):
     """dL/dx; gamma and beta gradients are the graph primitive's."""
     xhat, inv = saved
-    gh = g * gamma
-    m1 = gh.mean(axis=-1, keepdims=True)
-    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-    return inv * (gh - m1 - xhat * m2)
+    gx = np.empty(xhat.shape)
+    for gb, hb, ib, ob in _row_blocks(g, xhat, inv, gx):
+        gh = gb * gamma
+        m1 = gh.mean(axis=-1, keepdims=True)
+        m2 = (gh * hb).mean(axis=-1, keepdims=True)
+        np.subtract(gh, m1, out=ob)
+        ob -= hb * m2
+        ob *= ib
+    return gx
 
 
 # ---------------------------------------------------------------------------

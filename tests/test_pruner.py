@@ -113,6 +113,26 @@ class TestSearch:
             masks.append(net.mask)
         assert masks[0] == masks[1]
 
+    def test_non_finite_score_names_the_round_and_the_seed(self, monkeypatch):
+        collect_stats = C.collect_stats
+        rounds = []
+
+        def nan_weight_in_round_two(*args):
+            stats, losses = collect_stats(*args)
+            rounds.append(stats)
+            if len(rounds) == 2:
+                stats[min(stats, key=S.PeftModuleId.sort_key)].weights[0] = np.nan
+            return stats, losses
+
+        monkeypatch.setattr(C, "collect_stats", nan_weight_in_round_two)
+        net = build_net()
+        train, _, _ = build_data()
+        schedule = P.derive_schedule(P.default_budget(net), net, 1, 1)
+        with pytest.raises(FloatingPointError,
+                           match="prune round 2, seed 4: non-finite unimportance for L"):
+            P.run_search(net, train, hybrid_scorer_for(net), schedule,
+                         lr=1e-3, batch_size=20, seed=4)
+
     def test_zero_round_schedule_prunes_nothing(self):
         net = build_net()
         train, _, _ = build_data()

@@ -171,6 +171,13 @@ class TestScorers:
             stats, key=S.PeftModuleId.sort_key)
         assert pv.p.sum() == pytest.approx(1.0, abs=1e-9)
 
+    def test_nan_weight_fails_loudly_naming_the_module(self, rng):
+        strategy = [(p, C.Criterion("weight")) for p in ST.partition_layers(8)]
+        stats = self._stats_map(8, rng)
+        stats[S.PeftModuleId(5, "PA")].weights[2] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite unimportance for .*L5/PA"):
+            ST.hybrid_scorer(strategy)(stats, rng)
+
     def test_random_scorer_is_seeded_and_valid(self, rng):
         stats = self._stats_map(4, rng)
         pv1, crit = ST.random_scorer()(stats, np.random.default_rng(5))

@@ -263,6 +263,44 @@ def test_fused_layer_is_bit_equal_to_the_per_op_layer(activation, pa_linear, mas
         assert all(np.array_equal(a, b) for a, b in zip(grads, ref_grads))
 
 
+@pytest.mark.parametrize("mask", ["all-on", "all-off", "layer0-off"])
+def test_prediction_builds_no_graph_and_a_step_costs_the_same(mask, monkeypatch):
+    net = S.build_supernet(small_config(), seed=5)
+    flags = {mid: _MASKS[mask](mid) for mid in net.modules}
+    net.apply_mask(S.MaskState(flags.keys(), flags))
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(0, 12, size=(3, 8))
+    backbone = S._backbone
+    built, ran = [], []
+
+    def counted_backbone(*args):
+        base, backward = backbone(*args)
+        if backward is None:
+            return base, None
+        built.append(backward)
+
+        def counted(g):
+            ran.append(g)
+            return backward(g)
+
+        return base, counted
+
+    monkeypatch.setattr(S, "_backbone", counted_backbone)
+    logits, terms = net.forward(tokens, grad=False)
+    assert logits._parents == () and logits._backward_fn is None
+    assert net.predict(tokens).shape == (3,)
+    assert built == []
+    graph_logits, graph_terms = net.forward(tokens)
+    assert np.array_equal(logits.data, graph_logits.data)
+    assert terms.keys() == graph_terms.keys()
+    assert all(np.array_equal(terms[m], graph_terms[m]) for m in terms)
+    T.backward(T.softmax_cross_entropy(graph_logits, rng.integers(0, 2, size=3)),
+               params=net.trainable_params())
+    # layer 0's input is the frozen embedding, so only layers 1..L-1 run
+    # the backbone backward, for every mask; prediction keeps none
+    assert len(ran) == net.config.num_layers - 1
+
+
 class TestParamsAndSnapshots:
     def test_trainable_count_tracks_mask(self, net):
         full = S.trainable_param_count(net)

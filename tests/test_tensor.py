@@ -185,6 +185,96 @@ class TestLayerNormAndSoftmax:
         assert rel_error(x.grad, fd) < 1e-4
 
 
+# the one-pass kernels as they were before row blocking, kept as the oracle
+
+
+def _gelu_fwd_one_pass(v):
+    v2 = v * v
+    u = v2 * v
+    u *= 0.044715
+    u += v
+    u *= math.sqrt(2.0 / math.pi)
+    t = np.tanh(u, out=u)
+    out = 1.0 + t
+    out *= v
+    out *= 0.5
+    return out, (v, t)
+
+
+def _gelu_bwd_one_pass(g, saved):
+    v, t = saved
+    dinner = (v * v) * (3 * 0.044715)
+    dinner += 1.0
+    dinner *= math.sqrt(2.0 / math.pi)
+    dinner *= 1.0 - t * t
+    dinner *= v
+    dinner += 1.0 + t
+    dinner *= 0.5
+    dinner *= g
+    return dinner
+
+
+def _layer_norm_fwd_one_pass(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / x.shape[-1]
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gamma + beta, (xhat, inv)
+
+
+def _layer_norm_bwd_one_pass(g, gamma, saved):
+    xhat, inv = saved
+    gh = g * gamma
+    m1 = gh.mean(axis=-1, keepdims=True)
+    m2 = (gh * xhat).mean(axis=-1, keepdims=True)
+    return inv * (gh - m1 - xhat * m2)
+
+
+def _all_equal(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+# rows a block does not divide, so the last block is partial; (7, 5) is one
+# block, and (2, 40000) has rows longer than a block
+@pytest.mark.parametrize("shape", [(1283, 512), (3, 1001, 40), (7, 5), (2, 40000)])
+class TestRowBlockedKernels:
+    def test_gelu_is_bit_equal_to_one_pass(self, shape, rng):
+        v = rng.normal(size=shape) * 3
+        g = rng.normal(size=shape)
+        out, saved = T.gelu_fwd(v)
+        ref_out, ref_saved = _gelu_fwd_one_pass(v)
+        assert np.array_equal(out, ref_out)
+        assert _all_equal(saved, ref_saved)
+        assert np.array_equal(T.gelu_bwd(g, saved), _gelu_bwd_one_pass(g, ref_saved))
+        # Fortran-order inputs: the outputs must still be written in place
+        v, g = np.asfortranarray(v), np.asfortranarray(g)
+        out, saved = T.gelu_fwd(v)
+        ref_out, ref_saved = _gelu_fwd_one_pass(v)
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(T.gelu_bwd(g, saved), _gelu_bwd_one_pass(g, ref_saved))
+
+    def test_layer_norm_is_bit_equal_to_one_pass(self, shape, rng):
+        x = rng.normal(size=shape) * 2 + 0.5
+        gamma = rng.normal(size=shape[-1])
+        beta = rng.normal(size=shape[-1])
+        g = rng.normal(size=shape)
+        out, saved = T.layer_norm_fwd(x, gamma, beta)
+        ref_out, ref_saved = _layer_norm_fwd_one_pass(x, gamma, beta)
+        assert np.array_equal(out, ref_out)
+        assert _all_equal(saved, ref_saved)
+        assert np.array_equal(T.layer_norm_bwd(g, gamma, saved),
+                              _layer_norm_bwd_one_pass(g, gamma, ref_saved))
+        # Fortran-order inputs: the outputs must still be written in place;
+        # a strided row sums in another order, so only to rounding
+        x, g = np.asfortranarray(x), np.asfortranarray(g)
+        out, saved = T.layer_norm_fwd(x, gamma, beta)
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(T.layer_norm_bwd(g, gamma, saved),
+                                   _layer_norm_bwd_one_pass(g, gamma, ref_saved),
+                                   rtol=0, atol=1e-12)
+
+
 class TestAdam:
     @staticmethod
     def _step(opt, *grads):

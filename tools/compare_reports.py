@@ -8,9 +8,10 @@ fixed set of ``peftsearch`` commands in a fresh temporary directory, with
 relative ``--out`` paths, so the ``report_dir`` a report records is the
 same for both trees. The set covers a small config in every mode, low
 fidelity, ``reinit_survivors: false``, a split the batch size does not
-divide, a relu net with a linear parallel adapter, a budget that needs no
-prune round, both exports and both
-imports, ``report``, and the three benchmark workloads of
+divide, a relu net with a linear parallel adapter, a net whose gelu and
+layer-norm arrays span several row blocks of ``peftsearch.tensor`` and
+end in a partial one, a budget that needs no prune round, both exports
+and both imports, ``report``, and the three benchmark workloads of
 ``perfbench/workloads.py`` at seed 1. Every file left in the two
 directories is then compared, together with each command's exit code and
 printed output (kept in ``commands.json``). The exit code is 0 when every
@@ -62,6 +63,11 @@ def inputs() -> dict:
         # 50 examples in batches of 20: every pass ends with a short batch
         "odd.json": dict(SMALL, task=dict(TASK, train_size=50)),
         "relu.json": dict(SMALL, supernet=dict(NET, activation="relu", pa_linear=True)),
+        # 320 training rows per batch: the (320, 384) gelu and (320, 128)
+        # layer-norm arrays run as 85- and 256-row blocks, each with a
+        # partial last block
+        "blocks.json": dict(SMALL, task=dict(TASK, seq_len=16),
+                            supernet=dict(NET, d_model=128, d_ff=384, max_seq_len=16)),
     }
     for name in workloads.WORKLOADS:
         spec = workloads.make(name, WORKLOAD_SEED)
@@ -82,6 +88,7 @@ def commands(docs: dict):
         ("no-reinit", ["run", "--config", "noreinit.json", "--out", "runs/noreinit"]),
         ("odd-split", ["run", "--config", "odd.json", "--out", "runs/odd"]),
         ("relu-pa-linear", ["run", "--config", "relu.json", "--out", "runs/relu"]),
+        ("row-blocks", ["run", "--config", "blocks.json", "--out", "runs/blocks"]),
         ("no-rounds", ["run", "--config", "small.json", "--budget", "1000000",
                        "--out", "runs/no-rounds"]),
         ("export-strategy", ["export-strategy", "--run", "runs/hybrid",
