@@ -65,6 +65,13 @@ class ExperimentConfig:
             raise ConfigError("trim fractions must lie in (0, 1]")
         if self.retrain_epochs < 1 or self.batch_size < 1 or self.lr <= 0:
             raise ConfigError("invalid training parameters")
+        head = self.net.head_param_count()
+        for key, minimum in (("k", 1), ("steps_per_round", 1), ("budget", head)):
+            value = getattr(self, key)
+            # bool is an int subclass; type() keeps true and 1.0 out
+            if value is not None and (type(value) is not int or value < minimum):
+                raise ConfigError(f"schedule.{key} must be null or an integer >= {minimum},"
+                                  f" got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +222,9 @@ def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Data
     round_data = (TK.stratified_trim(train, config.low_fidelity_fraction, seed)
                   if config.fidelity == "low" else train)
     budget = config.budget if config.budget is not None else P.default_budget(net)
-    steps = (config.steps_per_round if config.steps_per_round is not None
-             else -(-len(round_data) // config.batch_size))
-    schedule = P.derive_schedule(budget, net, k, steps, config.reinit_survivors)
-    records, served = P.run_search(net, round_data, scorer, schedule, config.lr,
-                                   config.batch_size, seed)
+    records, served = P.run_search(net, round_data, scorer, budget, k,
+                                   config.steps_per_round, config.reinit_survivors,
+                                   config.lr, config.batch_size, seed)
     result["records"] = [_record_to_dict(r) for r in records]
     # epochs count the examples the batcher served, in training-split units
     prune_epochs = sum((n / len(train) for n in served), 0.0)

@@ -20,19 +20,6 @@ from .tensor import Adam, backward, softmax_cross_entropy
 
 
 @dataclass
-class PruneSchedule:
-    budget: int
-    rounds: int
-    k: int
-    steps_per_round: int
-    reinit_survivors: bool = True
-
-    def __post_init__(self):
-        if self.rounds >= 1 and (self.k < 1 or self.steps_per_round < 1):
-            raise ValueError("k and steps_per_round must be positive")
-
-
-@dataclass
 class PruneRecord:
     round_index: int
     pruned: list
@@ -55,40 +42,6 @@ def default_budget(supernet: Supernet) -> int:
     return trainable_param_count(supernet) - sum(sizes[: supernet.config.num_layers])
 
 
-def derive_schedule(budget: int, supernet: Supernet, k: int, steps_per_round: int,
-                    reinit_survivors: bool = True) -> PruneSchedule:
-    """Smallest round count guaranteed to reach the budget.
-
-    Uses a pessimistic smallest-module-first simulation, so the actual
-    probability-driven pruning can only reach the budget sooner.
-    """
-    head = supernet.config.head_param_count()
-    if budget < head:
-        raise ValueError(
-            f"budget {budget} below classifier head size {head}; minimum achievable"
-            f" trainable count is {head}")
-    count = trainable_param_count(supernet)
-    if budget >= count:
-        return PruneSchedule(budget=budget, rounds=0, k=k,
-                             steps_per_round=steps_per_round,
-                             reinit_survivors=reinit_survivors)
-    sizes = sorted(supernet.module_size(m) for m in supernet.mask.active_ids())
-    rounds = 0
-    i = 0
-    while count > budget:
-        if i >= len(sizes):
-            raise ValueError(f"budget {budget} unreachable; minimum is {count}")
-        rounds += 1
-        for _ in range(k):
-            if i >= len(sizes) or count <= budget:
-                break
-            count -= sizes[i]
-            i += 1
-    return PruneSchedule(budget=budget, rounds=rounds, k=k,
-                         steps_per_round=steps_per_round,
-                         reinit_survivors=reinit_survivors)
-
-
 def select_top_k(pv: ProbabilityVector, k: int):
     """The k highest-probability modules, ties broken by (layer, kind)."""
     return C.top_k(pv.ids, pv.p, k)
@@ -98,12 +51,9 @@ def prune_round(supernet: Supernet, scorer, batches, k: int, steps: int,
                 optimizer: Adam, rng, round_index: int) -> PruneRecord:
     """Train, score, deactivate the top-k. Reinitialization is the caller's
     job because terminality is only known after the round."""
-    active_before = supernet.mask.num_active()
-    if active_before == 0:
-        raise ValueError("no active modules left to prune")
     stats, _ = C.collect_stats(supernet, batches, steps, optimizer)
     pv, crit_map = scorer(stats, rng)
-    pruned = select_top_k(pv, min(k, active_before))
+    pruned = select_top_k(pv, k)
     for mid in pruned:
         supernet.mask.deactivate(mid)
     return PruneRecord(
@@ -115,44 +65,47 @@ def prune_round(supernet: Supernet, scorer, batches, k: int, steps: int,
     )
 
 
-def run_search(supernet: Supernet, data: Dataset, scorer, schedule: PruneSchedule,
-               lr: float, batch_size: int, seed: int):
-    """Execute the full pruning schedule, training every round on ``data``.
+def run_search(supernet: Supernet, data: Dataset, scorer, budget: int, k: int,
+               steps: int | None, reinit_survivors: bool, lr: float, batch_size: int,
+               seed: int):
+    """Prune up to ``k`` modules a round until at most ``budget`` parameters
+    stay trainable, training ``steps`` batches of ``data`` every round
+    (None: one pass over ``data``).
 
-    Leaves the final configuration in ``supernet.mask``. Returns
-    (PruneRecords, the number of examples each round drew).
+    With every module removed only the classifier head trains, so any
+    budget of at least the head size is reached. Leaves the final
+    configuration in ``supernet.mask``. Returns (PruneRecords, the number
+    of examples each round drew).
     """
+    head = supernet.config.head_param_count()
+    if budget < head:
+        raise ValueError(
+            f"budget {budget} below classifier head size {head}; minimum achievable"
+            f" trainable count is {head}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     ss = np.random.SeedSequence([int(seed), 0x5EA2])
     shuffle_rng, score_rng, reinit_rng = [np.random.default_rng(c) for c in ss.spawn(3)]
     batcher = Batcher(data, batch_size, shuffle_rng)
+    if steps is None:
+        steps = batcher.steps_per_epoch()
     records = []
     served = []
-    optimizer = Adam(supernet.trainable_params(), lr=lr)
-    for i in range(1, schedule.rounds + 1):
-        if supernet.mask.num_active() == 0:
-            break
+    while trainable_param_count(supernet) > budget:
+        if records and reinit_survivors:
+            for mid in supernet.mask.active_ids():
+                S.reinitialize(supernet.modules[mid], reinit_rng)
+        # every round starts Adam afresh on the surviving parameter set
+        optimizer = Adam(supernet.trainable_params(), lr=lr)
+        i = len(records) + 1
         before = batcher.served
         try:
-            record = prune_round(supernet, scorer, batcher, schedule.k,
-                                 schedule.steps_per_round, optimizer, score_rng, i)
+            record = prune_round(supernet, scorer, batcher, k, steps, optimizer,
+                                 score_rng, i)
         except FloatingPointError as exc:
             raise FloatingPointError(f"prune round {i}, seed {seed}: {exc}") from None
         records.append(record)
         served.append(batcher.served - before)
-        done = (i == schedule.rounds
-                or record.param_count_after <= schedule.budget
-                or supernet.mask.num_active() == 0)
-        if done:
-            break
-        if schedule.reinit_survivors:
-            for mid in supernet.mask.active_ids():
-                S.reinitialize(supernet.modules[mid], reinit_rng)
-        # surviving parameter set changed; restart optimizer state
-        optimizer = Adam(supernet.trainable_params(), lr=lr)
-    final_count = trainable_param_count(supernet)
-    if schedule.rounds > 0 and final_count > schedule.budget:
-        raise RuntimeError(
-            f"search ended above budget: {final_count} > {schedule.budget}")
     return records, served
 
 

@@ -229,6 +229,8 @@ def hybrid_score_entries(stats_map, strategy):
         if not ids:
             continue
         sv = C.score_group(crit, stats_map, ids)
+        # checked before normalizing, which spreads one NaN over the partition
+        _require_finite("unimportance", sv.ids, sv.unimportance)
         theta_hat = _minmax_normalize(sv.unimportance)
         for i, mid in enumerate(sv.ids):
             entries.append((mid, theta_hat[i], int(sv.ranks[i])))

@@ -215,9 +215,9 @@ def test_acceptance_4_mask_budget_invariants():
             scorer = ST.hybrid_scorer(strategy)
         else:
             scorer = ST.random_scorer()
-        schedule = P.derive_schedule(budget, net, k, steps_per_round=1)
-        records, _ = P.run_search(net, train, scorer, schedule,
-                                  lr=1e-3, batch_size=10, seed=trial)
+        records, _ = P.run_search(net, train, scorer, budget, k, steps=1,
+                                  reinit_survivors=True, lr=1e-3, batch_size=10,
+                                  seed=trial)
         counts = [full] + [r.param_count_after for r in records]
         if any(b >= a for a, b in zip(counts, counts[1:])):
             failures.append(f"trial {trial}: params not strictly decreasing")

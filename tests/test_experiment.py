@@ -4,10 +4,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from peftsearch import cli
+from peftsearch import criteria as C
 from peftsearch import experiment as E
 from peftsearch import pruner as P
+from peftsearch import strategy as ST
 from peftsearch import supernet as S
 from peftsearch import tasks as TK
 
@@ -111,11 +115,129 @@ class TestConfigFiles:
         with pytest.raises(E.ConfigError, match="seeds"):
             E.config_from_dict(doc)
 
+    @pytest.mark.parametrize("key, value", [
+        ("k", 0), ("k", -1), ("k", True), ("k", 1.5), ("steps_per_round", 0),
+        ("budget", 10),  # the head of NET holds 34 parameters
+        ("budget", "100"),
+    ])
+    def test_bad_schedule_rejected(self, key, value):
+        doc = E.config_to_dict(make_config())
+        doc["schedule"][key] = value
+        with pytest.raises(E.ConfigError, match=f"schedule.{key} must be null or an integer"):
+            E.config_from_dict(doc)
+
     def test_load_config_reads_file(self, tmp_path):
         cfg = make_config()
         path = tmp_path / "c.json"
         path.write_text(json.dumps(E.config_to_dict(cfg)), encoding="utf-8")
         assert E.load_config(str(path)) == cfg
+
+
+_FRACTIONS = st.floats(0, 1, exclude_min=True)
+_COUNTS = st.none() | st.integers(1, 10**6)
+# every ExperimentConfig field but task and supernet, by config-document section
+_DRAWN = {
+    "": {"mode": st.sampled_from(E.MODES + tuple(f"single:{t}" for t in C.CRITERIA_ORDER)),
+         "seeds": st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=4),
+         "low_fidelity_fraction": _FRACTIONS,
+         "report_dir": st.none() | st.text(max_size=8)},
+    "schedule": {"budget": st.none() | st.integers(NET.head_param_count(), 10**6),
+                 "k": _COUNTS, "steps_per_round": _COUNTS,
+                 "fidelity": st.sampled_from(["full", "low"]),
+                 "reinit_survivors": st.booleans()},
+    "warmup": {"rounds": st.integers(1, 10), "trim_fraction": _FRACTIONS},
+    "training": {"retrain_epochs": st.integers(1, 50), "lr": st.floats(1e-6, 1.0),
+                 "batch_size": st.integers(1, 64)},
+}
+
+
+@st.composite
+def config_docs(draw):
+    """Valid config documents that leave out any drawn set of optional keys."""
+    doc = {"task": dataclasses.asdict(TASK), "supernet": dataclasses.asdict(NET)}
+    for section, keys in _DRAWN.items():
+        values = {key: draw(keys[key])
+                  for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True))}
+        if section:
+            if values or draw(st.booleans()):
+                doc[section] = values
+        else:
+            doc.update(values)
+    return doc
+
+
+@st.composite
+def tilings(draw):
+    """(num_layers, strategy) whose partitions tile [0, num_layers) in order."""
+    n = draw(st.integers(1, 24))
+    cuts = draw(st.lists(st.integers(1, n - 1), unique=True)) if n > 1 else []
+    edges = [0] + sorted(cuts) + [n]
+    strategy = []
+    for index, (lo, hi) in enumerate(zip(edges, edges[1:]), 1):
+        tag = draw(st.sampled_from(C.CRITERIA_ORDER))
+        threshold = draw(st.none() | st.floats(1e-6, 10.0)) if tag == "threshold" else None
+        strategy.append((ST.Partition(index, lo, hi), C.Criterion(tag, threshold)))
+    return n, strategy
+
+
+class TestDrawnDocuments:
+    def test_drawn_keys_are_the_layout(self):
+        layout = {section: set(keys) - {"task", "supernet"}
+                  for section, keys in E._LAYOUT.items()}
+        assert layout == {section: set(keys) for section, keys in _DRAWN.items()}
+
+    @settings(max_examples=50, deadline=None)
+    @given(doc=config_docs())
+    def test_valid_document_round_trips(self, doc):
+        cfg = E.config_from_dict(doc)
+        out = E.config_to_dict(cfg)
+        assert E.config_from_dict(out) == cfg
+        for key, value in doc.items():
+            if isinstance(value, dict):
+                assert {k: out[key][k] for k in value} == value
+            else:
+                assert out[key] == value
+
+    @settings(max_examples=50, deadline=None)
+    @given(section=st.sampled_from(["", "task", "supernet", "schedule", "warmup", "training"]),
+           key=st.text(min_size=1, max_size=12))
+    def test_unknown_key_rejected(self, section, key):
+        doc = E.config_to_dict(make_config())
+        values = doc[section] if section else doc
+        assume(key not in values)
+        values[key] = 1
+        with pytest.raises(E.ConfigError):
+            E.config_from_dict(doc)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tiling=tilings())
+    def test_tiling_round_trips(self, tiling):
+        n, strategy = tiling
+        doc = json.loads(json.dumps(ST.strategy_to_doc(strategy)))
+        assert ST.strategy_from_doc(doc) == strategy
+        assert E._strategy_partitions(doc, n) == strategy
+
+    @settings(max_examples=50, deadline=None)
+    @given(tiling=tilings(), data=st.data())
+    def test_non_tiling_rejected(self, tiling, data):
+        n, strategy = tiling
+        entries = ST.strategy_to_doc(strategy)["partitions"]
+        j = data.draw(st.integers(0, len(entries) - 1))
+        how = data.draw(st.sampled_from(["drop", "renumber", "lo", "hi", "append"]))
+        if how == "drop":
+            del entries[j]
+        elif how == "renumber":
+            # any other number leaves a gap or a duplicate in 1..len(entries)
+            entries[j]["partition"] = data.draw(
+                st.integers(-2, len(entries) + 2).filter(lambda v: v != j + 1))
+        elif how in ("lo", "hi"):
+            entries[j][how] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        else:
+            # empty, or past the last layer
+            entries.append({"partition": len(entries) + 1, "lo": n,
+                            "hi": n + data.draw(st.integers(0, 2)), "criterion": "weight"})
+        with pytest.raises(E.ConfigError, match="tile the layers"):
+            E._strategy_partitions({"partitions": entries}, n)
 
 
 class TestRunModes:
@@ -294,6 +416,14 @@ class TestCli:
                          "--out", str(transferred)]) == 0
         doc = json.loads((transferred / "strategy.json").read_text())
         assert doc == json.loads(strategy.read_text())
+
+    def test_budget_override_below_the_head_fails_before_the_run(self, tmp_path, capsys):
+        config = self._write_config(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", config, "--budget", "10", "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "schedule.budget" in err["message"]
+        assert not out.exists()
 
     def test_diverging_run_fails_without_a_report(self, tmp_path, capsys):
         config = self._write_config(tmp_path, lr=1e4)

@@ -18,30 +18,81 @@ def build_data(train=40, seed=7):
     return TK.generate_task(task)
 
 
+def hybrid_scorer_for(net):
+    parts = ST.partition_layers(net.config.num_layers)
+    return ST.hybrid_scorer([(p, C.Criterion("weight")) for p in parts])
+
+
+def count_batches(monkeypatch):
+    """A list that grows by one for every batch any Batcher serves."""
+    drawn = []
+    next_batch = TK.Batcher.__next__
+
+    def counting_next(self):
+        drawn.append(1)
+        return next_batch(self)
+
+    monkeypatch.setattr(TK.Batcher, "__next__", counting_next)
+    return drawn
+
+
+def search(net, budget, k, seed=0, data=None):
+    train = data if data is not None else build_data()[0]
+    return P.run_search(net, train, hybrid_scorer_for(net), budget, k, steps=1,
+                        reinit_survivors=True, lr=1e-3, batch_size=20, seed=seed)
+
+
 class TestScheduleDerivation:
+    """The rounds run_search derives from its budget and k."""
+
     def test_round_count_for_uniform_modules(self):
         # 24 layers, equal-size adapters: keep 12 of 48 modules, 4 per round
         net = build_net(num_layers=24, sa=4, pa=4)
         size = net.module_size(S.PeftModuleId(0, "SA"))
         budget = S.trainable_param_count(net) - 36 * size
-        schedule = P.derive_schedule(budget, net, k=4, steps_per_round=1)
-        assert schedule.rounds == 9
+        records, _ = search(net, budget, k=4)
+        assert [len(r.pruned) for r in records] == [4] * 9
+        assert records[-1].param_count_after == budget
 
     def test_budget_at_or_above_current_count_means_no_rounds(self):
         net = build_net()
-        schedule = P.derive_schedule(S.trainable_param_count(net), net, 2, 1)
-        assert schedule.rounds == 0
+        train, _, _ = build_data()
+        for budget in (S.trainable_param_count(net), S.trainable_param_count(net) + 1):
+            records, served = search(net, budget, k=1, data=train)
+            assert records == []
+            assert served == []
 
-    def test_budget_below_head_size_rejected(self):
+    def test_budget_below_head_size_rejected(self, monkeypatch):
+        self._assert_rejected_before_any_batch(monkeypatch, 1, 2, "head")
+
+    @pytest.mark.parametrize("k", [0, -1], ids=["k-0", "k-minus-1"])
+    def test_k_below_one_rejected_before_any_batch(self, monkeypatch, k):
+        self._assert_rejected_before_any_batch(monkeypatch, 0, k, "k must be positive")
+
+    def _assert_rejected_before_any_batch(self, monkeypatch, below_head, k, match):
         net = build_net()
-        with pytest.raises(ValueError, match="head"):
-            P.derive_schedule(net.config.head_param_count() - 1, net, 2, 1)
+        train, _, _ = build_data()
+        drawn = count_batches(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            search(net, net.config.head_param_count() - below_head, k, data=train)
+        assert drawn == []
+        assert net.mask.num_active() == len(net.mask)
 
     def test_head_only_budget_schedules_full_removal(self):
-        net = build_net()
-        schedule = P.derive_schedule(net.config.head_param_count(), net, 2, 1)
         # 8 modules at 2 per round
-        assert schedule.rounds == 4
+        self._assert_head_only_rounds(2, [2, 2, 2, 2])
+
+    def test_head_only_budget_at_k_3_ends_with_a_short_round(self):
+        # 8 modules: at k 3 the last round takes the 2 that are left
+        self._assert_head_only_rounds(3, [3, 3, 2])
+
+    def _assert_head_only_rounds(self, k, sizes):
+        net = build_net()
+        head = net.config.head_param_count()
+        records, _ = search(net, head, k)
+        assert [len(r.pruned) for r in records] == sizes
+        assert net.mask.num_active() == 0
+        assert S.trainable_param_count(net) == head
 
     def test_default_k_is_a_twelfth_rounded_up(self):
         net = build_net(num_layers=24)  # 48 active modules
@@ -74,19 +125,13 @@ class TestSelection:
         assert P.select_top_k(pv, 5) == ids
 
 
-def hybrid_scorer_for(net):
-    parts = ST.partition_layers(net.config.num_layers)
-    return ST.hybrid_scorer([(p, C.Criterion("weight")) for p in parts])
-
-
 class TestSearch:
     def test_rounds_shrink_params_and_respect_budget(self):
         net = build_net()
         train, _, _ = build_data()
         budget = P.default_budget(net)
-        schedule = P.derive_schedule(budget, net, k=1, steps_per_round=2)
-        records, served = P.run_search(net, train, hybrid_scorer_for(net),
-                                       schedule, lr=1e-3, batch_size=20, seed=0)
+        records, served = P.run_search(net, train, hybrid_scorer_for(net), budget, 1, 2,
+                                       True, lr=1e-3, batch_size=20, seed=0)
         counts = [r.param_count_after for r in records]
         assert counts == sorted(counts, reverse=True)
         assert counts[-1] <= budget
@@ -96,9 +141,8 @@ class TestSearch:
     def test_each_round_removes_argmax_k(self):
         net = build_net()
         train, _, _ = build_data()
-        schedule = P.derive_schedule(P.default_budget(net), net, 2, 2)
-        records, _ = P.run_search(net, train, hybrid_scorer_for(net),
-                                  schedule, lr=1e-3, batch_size=20, seed=0)
+        records, _ = P.run_search(net, train, hybrid_scorer_for(net), P.default_budget(net),
+                                  2, 2, True, lr=1e-3, batch_size=20, seed=0)
         for rec in records:
             assert rec.pruned == P.select_top_k(rec.probabilities, len(rec.pruned))
 
@@ -107,9 +151,8 @@ class TestSearch:
         for _ in range(2):
             net = build_net()
             train, _, _ = build_data()
-            schedule = P.derive_schedule(P.default_budget(net), net, 2, 2)
-            P.run_search(net, train, hybrid_scorer_for(net),
-                         schedule, lr=1e-3, batch_size=20, seed=3)
+            P.run_search(net, train, hybrid_scorer_for(net), P.default_budget(net),
+                         2, 2, True, lr=1e-3, batch_size=20, seed=3)
             masks.append(net.mask)
         assert masks[0] == masks[1]
 
@@ -127,22 +170,17 @@ class TestSearch:
         monkeypatch.setattr(C, "collect_stats", nan_weight_in_round_two)
         net = build_net()
         train, _, _ = build_data()
-        schedule = P.derive_schedule(P.default_budget(net), net, 1, 1)
         with pytest.raises(FloatingPointError,
                            match="prune round 2, seed 4: non-finite unimportance for L"):
-            P.run_search(net, train, hybrid_scorer_for(net), schedule,
-                         lr=1e-3, batch_size=20, seed=4)
+            search(net, P.default_budget(net), k=1, seed=4, data=train)
 
-    def test_zero_round_schedule_prunes_nothing(self):
+    def test_zero_round_schedule_prunes_nothing(self, monkeypatch):
         net = build_net()
         train, _, _ = build_data()
-        schedule = P.PruneSchedule(budget=S.trainable_param_count(net), rounds=0,
-                                   k=1, steps_per_round=1)
-        records, served = P.run_search(net, train, hybrid_scorer_for(net),
-                                       schedule, lr=1e-3, batch_size=20, seed=0)
-        assert records == []
+        drawn = count_batches(monkeypatch)
+        assert search(net, S.trainable_param_count(net), k=1, data=train) == ([], [])
         assert net.mask.num_active() == len(net.mask)
-        assert served == []
+        assert drawn == []
 
 
 class TestRetrainAndEvaluate:

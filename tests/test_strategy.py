@@ -175,7 +175,7 @@ class TestScorers:
         strategy = [(p, C.Criterion("weight")) for p in ST.partition_layers(8)]
         stats = self._stats_map(8, rng)
         stats[S.PeftModuleId(5, "PA")].weights[2] = np.nan
-        with pytest.raises(FloatingPointError, match="non-finite unimportance for .*L5/PA"):
+        with pytest.raises(FloatingPointError, match="non-finite unimportance for L5/PA$"):
             ST.hybrid_scorer(strategy)(stats, rng)
 
     def test_random_scorer_is_seeded_and_valid(self, rng):

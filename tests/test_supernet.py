@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peftsearch import supernet as S
 from peftsearch import tensor as T
@@ -356,6 +359,16 @@ class TestArchitectureDocs:
         cfg, flags = S.architecture_from_doc(doc)
         assert cfg == net.config
         assert flags == net.mask.flags()
+
+    @settings(max_examples=30, deadline=None)
+    @given(num_layers=st.integers(1, 6), pa_linear=st.booleans(),
+           activation=st.sampled_from(["relu", "gelu"]), data=st.data())
+    def test_drawn_flags_round_trip(self, num_layers, pa_linear, activation, data):
+        cfg = small_config(num_layers=num_layers, pa_linear=pa_linear, activation=activation)
+        flags = {mid: data.draw(st.booleans()) for mid in cfg.module_ids()}
+        net = S.build_supernet(cfg, seed=0).apply_mask(S.MaskState(flags, flags))
+        doc = json.loads(json.dumps(S.architecture_to_doc(net)))
+        assert S.architecture_from_doc(doc) == (cfg, flags)
 
     def test_incomplete_document_rejected(self, net):
         doc = S.architecture_to_doc(net)

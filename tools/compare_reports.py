@@ -7,7 +7,8 @@ as the ``src/`` of two checkouts. For each tree, one subprocess runs a
 fixed set of ``peftsearch`` commands in a fresh temporary directory, with
 relative ``--out`` paths, so the ``report_dir`` a report records is the
 same for both trees. The set covers a small config in every mode, low
-fidelity, ``reinit_survivors: false``, a split the batch size does not
+fidelity, ``reinit_survivors: false``, a head-only budget whose last
+prune round takes fewer than ``k`` modules, a split the batch size does not
 divide, a relu net with a linear parallel adapter, a net whose gelu and
 layer-norm arrays span several row blocks of ``peftsearch.tensor`` and
 end in a partial one, a budget that needs no prune round, both exports
@@ -60,6 +61,9 @@ def inputs() -> dict:
         "other.json": dict(SMALL, task=dict(TASK, name="other",
                                             generator="pattern-presence", seed=9)),
         "noreinit.json": dict(SMALL, schedule={"reinit_survivors": False}),
+        # the budget is the head size, so every module goes: 3, 3, then
+        # the last 2 of the 8
+        "head-only.json": dict(SMALL, schedule={"k": 3, "budget": 34}),
         # 50 examples in batches of 20: every pass ends with a short batch
         "odd.json": dict(SMALL, task=dict(TASK, train_size=50)),
         "relu.json": dict(SMALL, supernet=dict(NET, activation="relu", pa_linear=True)),
@@ -86,6 +90,7 @@ def commands(docs: dict):
         ("low-fidelity", ["run", "--config", "small.json", "--fidelity", "low",
                           "--out", "runs/low"]),
         ("no-reinit", ["run", "--config", "noreinit.json", "--out", "runs/noreinit"]),
+        ("head-only", ["run", "--config", "head-only.json", "--out", "runs/head-only"]),
         ("odd-split", ["run", "--config", "odd.json", "--out", "runs/odd"]),
         ("relu-pa-linear", ["run", "--config", "relu.json", "--out", "runs/relu"]),
         ("row-blocks", ["run", "--config", "blocks.json", "--out", "runs/blocks"]),
