@@ -8,7 +8,7 @@ from .supernet import (  # noqa: F401
     build_supernet,
     trainable_param_count,
 )
-from .criteria import Criterion, ModuleStats, default_criteria  # noqa: F401
+from .criteria import Criterion, ModuleStats  # noqa: F401
 from .strategy import Partition, partition_layers  # noqa: F401
 from .pruner import run_search, search_cost_bound  # noqa: F401
 from .tasks import Dataset, SyntheticTaskSpec, generate_task, stratified_trim  # noqa: F401

@@ -41,10 +41,6 @@ class Criterion:
             raise ValueError("threshold parameter must be positive and finite")
 
 
-def default_criteria():
-    return tuple(Criterion(tag) for tag in CRITERIA_ORDER)
-
-
 @dataclass
 class ModuleStats:
     """Accumulated statistics for one adapter over a scoring window."""

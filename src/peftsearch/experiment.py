@@ -49,29 +49,38 @@ class ExperimentConfig:
     architecture_doc: dict | None = None
 
     def __post_init__(self):
-        if not (self.mode in MODES or self.mode.startswith("single:")):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.mode.startswith("single:"):
-            tag = self.mode.split(":", 1)[1]
-            if tag not in C.CRITERIA_ORDER:
-                raise ConfigError(f"unknown criterion {tag!r} in mode {self.mode!r}")
-        if self.fidelity not in ("full", "low"):
-            raise ConfigError(f"fidelity must be 'full' or 'low', got {self.fidelity!r}")
+        head = self.net.head_param_count()
+        for names, want, ok in (
+                ("mode", f"one of {', '.join(MODES)} or single:<criterion>",
+                 lambda v: v in MODES + tuple(f"single:{t}" for t in C.CRITERIA_ORDER)),
+                ("fidelity", "'full' or 'low'", lambda v: v in ("full", "low")),
+                ("reinit_survivors", "true or false", lambda v: isinstance(v, bool)),
+                ("report_dir", "null or a string", lambda v: v is None or isinstance(v, str)),
+                ("lr", "a finite number > 0", lambda v: _real(v) and 0 < v < float("inf")),
+                ("trim_fraction low_fidelity_fraction", "a number in (0, 1]",
+                 lambda v: _real(v) and 0 < v <= 1),
+                ("retrain_epochs warmup_rounds batch_size", "an integer >= 1",
+                 lambda v: _integer(v, 1)),
+                ("k steps_per_round", "null or an integer >= 1",
+                 lambda v: v is None or _integer(v, 1)),
+                ("budget", f"null or an integer >= {head}",
+                 lambda v: v is None or _integer(v, head))):
+            for name in names.split():
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ConfigError(f"{_document_key(name)} must be {want}, got {value!r}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.warmup_rounds < 1:
-            raise ConfigError("warmup_rounds must be >= 1")
-        if not (0 < self.trim_fraction <= 1) or not (0 < self.low_fidelity_fraction <= 1):
-            raise ConfigError("trim fractions must lie in (0, 1]")
-        if self.retrain_epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise ConfigError("invalid training parameters")
-        head = self.net.head_param_count()
-        for key, minimum in (("k", 1), ("steps_per_round", 1), ("budget", head)):
-            value = getattr(self, key)
-            # bool is an int subclass; type() keeps true and 1.0 out
-            if value is not None and (type(value) is not int or value < minimum):
-                raise ConfigError(f"schedule.{key} must be null or an integer >= {minimum},"
-                                  f" got {value!r}")
+
+
+# bool is an int subclass: _real keeps true and false out of the numbers, and
+# type() keeps true and 1.0 out of the integers
+def _real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value, minimum: int) -> bool:
+    return type(value) is int and value >= minimum
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +99,12 @@ _LAYOUT = {
     "warmup": {"rounds": "warmup_rounds", "trim_fraction": "trim_fraction"},
     "training": {"retrain_epochs": "retrain_epochs", "lr": "lr", "batch_size": "batch_size"},
 }
+
+
+def _document_key(name: str) -> str:
+    """The config-document key of a field, such as warmup.rounds."""
+    return {field: f"{section}.{key}" if section else key
+            for section, keys in _LAYOUT.items() for key, field in keys.items()}[name]
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -182,13 +197,13 @@ def _strategy_partitions(doc: dict, num_layers: int):
     return strategy
 
 
-def _mode_strategy(mode: str, table: ST.TendencyTable, partitions, num_layers: int):
-    """The strategy that ``mode`` derives from the warm-up table, or None for
+def _mode_strategy(mode: str, counts, partitions, num_layers: int):
+    """The strategy that ``mode`` derives from the warm-up counts, or None for
     random-prune, whose warm-up runs for epoch parity."""
     if mode == "hybrid":
-        return ST.assign_strategies(table, partitions)
+        return ST.assign_strategies(counts, partitions)
     if mode == "no-partition":
-        return [(ST.Partition(1, 0, num_layers), ST.global_best_criterion(table))]
+        return [(ST.Partition(1, 0, num_layers), ST.global_best_criterion(counts))]
     if mode.startswith("single:"):
         crit = C.Criterion(mode.split(":", 1)[1])
         return [(p, crit) for p in partitions]
@@ -206,12 +221,12 @@ def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Data
     else:
         d_warm = TK.stratified_trim(train, config.trim_fraction, seed)
         partitions = ST.partition_layers(config.net.num_layers)
-        table = ST.warmup(net, d_warm, C.default_criteria(), config.warmup_rounds, k,
-                          partitions, config.lr, config.batch_size, seed)
+        counts = ST.warmup(net, d_warm, config.warmup_rounds, k, partitions, config.lr,
+                           config.batch_size, seed)
         # each warm-up round is one pass over d_warm
         warmup_epochs = config.warmup_rounds * len(d_warm) / len(train)
-        result["tendency"] = table.to_dict()
-        strategy = _mode_strategy(config.mode, table, partitions, config.net.num_layers)
+        result["tendency"] = ST.tendency_to_doc(counts)
+        strategy = _mode_strategy(config.mode, counts, partitions, config.net.num_layers)
 
     if config.mode == "random-prune":
         scorer = ST.random_scorer()
@@ -222,10 +237,10 @@ def _search(config: ExperimentConfig, seed: int, net: S.Supernet, train: TK.Data
     round_data = (TK.stratified_trim(train, config.low_fidelity_fraction, seed)
                   if config.fidelity == "low" else train)
     budget = config.budget if config.budget is not None else P.default_budget(net)
-    records, served = P.run_search(net, round_data, scorer, budget, k,
-                                   config.steps_per_round, config.reinit_survivors,
-                                   config.lr, config.batch_size, seed)
-    result["records"] = [_record_to_dict(r) for r in records]
+    result["records"], served = P.run_search(net, round_data, scorer, budget, k,
+                                             config.steps_per_round,
+                                             config.reinit_survivors, config.lr,
+                                             config.batch_size, seed)
     # epochs count the examples the batcher served, in training-split units
     prune_epochs = sum((n / len(train) for n in served), 0.0)
     result["epochs"].update(warmup=warmup_epochs, prune=prune_epochs,
@@ -261,20 +276,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-
-def _record_to_dict(rec: P.PruneRecord) -> dict:
-    return {
-        "round": rec.round_index,
-        "pruned": [{"layer": m.layer, "kind": m.kind,
-                    "criterion": rec.criterion_by_module.get(m, "")}
-                   for m in rec.pruned],
-        "probabilities": [
-            {"layer": m.layer, "kind": m.kind, "p": float(p)}
-            for m, p in zip(rec.probabilities.ids, rec.probabilities.p)
-        ],
-        "param_count_after": rec.param_count_after,
-    }
 
 
 def frequency_counts(report_doc: dict) -> dict:

@@ -7,25 +7,14 @@ surviving configuration is retrained from fresh adapter initialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import criteria as C
 from . import supernet as S
 from .supernet import Supernet, trainable_param_count
-from .strategy import ProbabilityVector
 from .tasks import Batcher, Dataset
 from .tensor import Adam, backward, softmax_cross_entropy
-
-
-@dataclass
-class PruneRecord:
-    round_index: int
-    pruned: list
-    probabilities: ProbabilityVector
-    param_count_after: int
-    criterion_by_module: dict = field(default_factory=dict)
 
 
 def default_k(supernet: Supernet) -> int:
@@ -42,27 +31,24 @@ def default_budget(supernet: Supernet) -> int:
     return trainable_param_count(supernet) - sum(sizes[: supernet.config.num_layers])
 
 
-def select_top_k(pv: ProbabilityVector, k: int):
-    """The k highest-probability modules, ties broken by (layer, kind)."""
-    return C.top_k(pv.ids, pv.p, k)
-
-
 def prune_round(supernet: Supernet, scorer, batches, k: int, steps: int,
-                optimizer: Adam, rng, round_index: int) -> PruneRecord:
-    """Train, score, deactivate the top-k. Reinitialization is the caller's
-    job because terminality is only known after the round."""
+                optimizer: Adam, rng, round_index: int) -> dict:
+    """Train, score, deactivate the top-k; return the round's report row.
+    Reinitialization is the caller's job because terminality is only known
+    after the round."""
     stats, _ = C.collect_stats(supernet, batches, steps, optimizer)
-    pv, crit_map = scorer(stats, rng)
-    pruned = select_top_k(pv, k)
+    ids, p, crit_map = scorer(stats, rng)
+    pruned = C.top_k(ids, p, k)
     for mid in pruned:
         supernet.mask.deactivate(mid)
-    return PruneRecord(
-        round_index=round_index,
-        pruned=pruned,
-        probabilities=pv,
-        param_count_after=trainable_param_count(supernet),
-        criterion_by_module={mid: crit_map.get(mid, "") for mid in pruned},
-    )
+    return {
+        "round": round_index,
+        "pruned": [{"layer": m.layer, "kind": m.kind, "criterion": crit_map[m]}
+                   for m in pruned],
+        "probabilities": [{"layer": m.layer, "kind": m.kind, "p": float(q)}
+                          for m, q in zip(ids, p)],
+        "param_count_after": trainable_param_count(supernet),
+    }
 
 
 def run_search(supernet: Supernet, data: Dataset, scorer, budget: int, k: int,
@@ -74,8 +60,8 @@ def run_search(supernet: Supernet, data: Dataset, scorer, budget: int, k: int,
 
     With every module removed only the classifier head trains, so any
     budget of at least the head size is reached. Leaves the final
-    configuration in ``supernet.mask``. Returns (PruneRecords, the number
-    of examples each round drew).
+    configuration in ``supernet.mask``. Returns (the report row of each
+    round, the number of examples each round drew).
     """
     head = supernet.config.head_param_count()
     if budget < head:
@@ -89,24 +75,24 @@ def run_search(supernet: Supernet, data: Dataset, scorer, budget: int, k: int,
     batcher = Batcher(data, batch_size, shuffle_rng)
     if steps is None:
         steps = batcher.steps_per_epoch()
-    records = []
+    rows = []
     served = []
     while trainable_param_count(supernet) > budget:
-        if records and reinit_survivors:
+        if rows and reinit_survivors:
             for mid in supernet.mask.active_ids():
                 S.reinitialize(supernet.modules[mid], reinit_rng)
         # every round starts Adam afresh on the surviving parameter set
         optimizer = Adam(supernet.trainable_params(), lr=lr)
-        i = len(records) + 1
+        i = len(rows) + 1
         before = batcher.served
         try:
-            record = prune_round(supernet, scorer, batcher, k, steps, optimizer,
-                                 score_rng, i)
+            row = prune_round(supernet, scorer, batcher, k, steps, optimizer,
+                              score_rng, i)
         except FloatingPointError as exc:
             raise FloatingPointError(f"prune round {i}, seed {seed}: {exc}") from None
-        records.append(record)
+        rows.append(row)
         served.append(batcher.served - before)
-    return records, served
+    return rows, served
 
 
 def evaluate(supernet: Supernet, dataset: Dataset, batch_size: int = 64) -> float:

@@ -29,38 +29,6 @@ class Partition:
         return self.lo <= layer < self.hi
 
 
-@dataclass
-class TendencyTable:
-    """counts[criterion][partition][kind]: warm-up pruning frequencies."""
-
-    criteria: tuple
-    num_partitions: int
-    counts: np.ndarray  # (n_criteria, n_partitions, n_kinds) ints
-
-    @classmethod
-    def empty(cls, criteria, num_partitions):
-        tags = tuple(c.tag for c in criteria)
-        return cls(tags, num_partitions,
-                   np.zeros((len(tags), num_partitions, len(KINDS)), dtype=int))
-
-    def add(self, tag: str, partition_index: int, kind: str, n: int = 1):
-        ci = self.criteria.index(tag)
-        self.counts[ci, partition_index - 1, KINDS.index(kind)] += n
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_dict(self) -> dict:
-        return {
-            tag: {
-                str(p + 1): {kind: int(self.counts[ci, p, ki])
-                             for ki, kind in enumerate(KINDS)}
-                for p in range(self.num_partitions)
-            }
-            for ci, tag in enumerate(self.criteria)
-        }
-
-
 def strategy_to_doc(strategy) -> dict:
     """The document of a strategy: (Partition, Criterion) pairs in partition
     order."""
@@ -82,12 +50,6 @@ def strategy_from_doc(doc: dict):
         strategy.append((Partition(int(entry["partition"]), int(entry["lo"]),
                                    int(entry["hi"])), crit))
     return sorted(strategy, key=lambda pair: pair[0].index)
-
-
-@dataclass
-class ProbabilityVector:
-    ids: list
-    p: np.ndarray
 
 
 def partition_layers(num_layers: int, num_partitions: int = 4):
@@ -114,17 +76,20 @@ def partition_of(partitions, layer: int) -> Partition:
     raise ValueError(f"layer {layer} not covered by partitions")
 
 
-def warmup(supernet: Supernet, data: Dataset, candidates, rounds: int, k: int,
-           partitions, lr: float, batch_size: int, seed: int) -> TendencyTable:
+def warmup(supernet: Supernet, data: Dataset, rounds: int, k: int, partitions,
+           lr: float, batch_size: int, seed: int) -> np.ndarray:
     """Heuristic warm-up: train, score, count hypothetical prunings.
 
-    Each round trains one pass over ``data``. No pruning is applied;
+    Each round trains one pass over ``data``, then every criterion of
+    CRITERIA_ORDER votes for its top-k active modules. Returns the vote
+    counts, an int array indexed [criterion, partition, kind] in
+    CRITERIA_ORDER, partition and KINDS order. No pruning is applied;
     adapter and head weights are restored to their entry state before
     returning.
     """
     if rounds < 1:
         raise ValueError("warm-up needs at least one round")
-    table = TendencyTable.empty(candidates, len(partitions))
+    counts = np.zeros((len(C.CRITERIA_ORDER), len(partitions), len(KINDS)), dtype=int)
     snapshot = supernet.snapshot_trainable()
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xA11]))
     batcher = Batcher(data, batch_size, rng)
@@ -137,46 +102,55 @@ def warmup(supernet: Supernet, data: Dataset, candidates, rounds: int, k: int,
             except FloatingPointError as exc:
                 raise FloatingPointError(f"warm-up, seed {seed}: {exc}") from None
             active = supernet.mask.active_ids()
-            for crit in candidates:
-                for mid in C.hypothetical_top_k(crit, stats, active, k):
-                    table.add(crit.tag, partition_of(partitions, mid.layer).index, mid.kind)
+            for ci, tag in enumerate(C.CRITERIA_ORDER):
+                for mid in C.hypothetical_top_k(C.Criterion(tag), stats, active, k):
+                    pi = partition_of(partitions, mid.layer).index - 1
+                    counts[ci, pi, KINDS.index(mid.kind)] += 1
     finally:
         supernet.restore_trainable(snapshot)
-    return table
+    return counts
 
 
-def concentrations(table: TendencyTable) -> np.ndarray:
+def tendency_to_doc(counts: np.ndarray) -> dict:
+    """The report document of warm-up counts: criterion tag -> partition
+    index -> kind -> votes."""
+    return {
+        tag: {str(pi + 1): {kind: int(counts[ci, pi, ki]) for ki, kind in enumerate(KINDS)}
+              for pi in range(counts.shape[1])}
+        for ci, tag in enumerate(C.CRITERIA_ORDER)
+    }
+
+
+def concentrations(counts: np.ndarray) -> np.ndarray:
     """Share of each criterion's pruning mass per partition."""
-    if table.total() == 0:
-        raise ValueError("tendency table is empty; nothing to assign")
-    per_crit = table.counts.sum(axis=2).astype(float)  # (criteria, partitions)
+    if counts.sum() == 0:
+        raise ValueError("warm-up counts are empty; nothing to assign")
+    per_crit = counts.sum(axis=2).astype(float)  # (criteria, partitions)
     totals = per_crit.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         conc = np.where(totals > 0, per_crit / totals, 0.0)
     return conc
 
 
-def _best_criterion(tags, values) -> C.Criterion:
-    """The tag with the largest value; ties go to the earlier tag in
-    CRITERIA_ORDER."""
-    best = max(range(len(tags)),
-               key=lambda ci: (values[ci], -C.CRITERIA_ORDER.index(tags[ci])))
-    return C.Criterion(tags[best])
+def _best_criterion(values) -> C.Criterion:
+    """The criterion with the largest value; argmax takes the first maximum,
+    so ties go to the earlier criterion in CRITERIA_ORDER."""
+    return C.Criterion(C.CRITERIA_ORDER[int(np.argmax(values))])
 
 
-def assign_strategies(table: TendencyTable, partitions):
+def assign_strategies(counts: np.ndarray, partitions):
     """Pair each partition with the criterion most concentrated on it."""
-    conc = concentrations(table)
-    return [(p, _best_criterion(table.criteria, conc[:, p.index - 1])) for p in partitions]
+    conc = concentrations(counts)
+    return [(p, _best_criterion(conc[:, p.index - 1])) for p in partitions]
 
 
-def global_best_criterion(table: TendencyTable) -> C.Criterion:
+def global_best_criterion(counts: np.ndarray) -> C.Criterion:
     """Criterion with the single highest partition concentration anywhere.
 
     Used by the no-partition ablation: the tendency measurement still uses
     blocks, but one criterion is applied globally.
     """
-    return _best_criterion(table.criteria, concentrations(table).max(axis=1))
+    return _best_criterion(concentrations(counts).max(axis=1))
 
 
 def _minmax_normalize(u: np.ndarray) -> np.ndarray:
@@ -186,7 +160,7 @@ def _minmax_normalize(u: np.ndarray) -> np.ndarray:
     return (u - lo) / (hi - lo)
 
 
-def prune_probabilities(entries) -> ProbabilityVector:
+def prune_probabilities(entries) -> np.ndarray:
     """Softmax of rank-weighted normalized unimportance.
 
     ``entries``: (module id, normalized unimportance in [0, 1], rank) per
@@ -210,7 +184,7 @@ def prune_probabilities(entries) -> ProbabilityVector:
     e = np.exp(logits)
     p = e / e.sum()
     _require_finite("pruning probability", ids, p)
-    return ProbabilityVector(ids=ids, p=p)
+    return p
 
 
 def _require_finite(what, ids, values):
@@ -240,11 +214,12 @@ def hybrid_score_entries(stats_map, strategy):
 
 
 def hybrid_scorer(strategy):
-    """Scorer closure for the pruning loop."""
+    """Scorer closure for the pruning loop: (stats map, rng) -> (module ids,
+    their pruning probabilities, criterion tag by module id)."""
 
     def scorer(stats_map, rng):
         entries, crit_by_module = hybrid_score_entries(stats_map, strategy)
-        return prune_probabilities(entries), crit_by_module
+        return [e[0] for e in entries], prune_probabilities(entries), crit_by_module
 
     return scorer
 
@@ -257,7 +232,6 @@ def random_scorer():
         ids = sorted(stats_map.keys(), key=PeftModuleId.sort_key)
         noise = rng.gumbel(size=len(ids))
         e = np.exp(noise - noise.max())
-        pv = ProbabilityVector(ids=ids, p=e / e.sum())
-        return pv, {mid: "random" for mid in ids}
+        return ids, e / e.sum(), {mid: "random" for mid in ids}
 
     return scorer

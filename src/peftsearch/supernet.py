@@ -95,11 +95,8 @@ class PeftModule:
         return np.concatenate([self.w_down.data.ravel(), self.w_up.data.ravel()])
 
     def flat_grads(self) -> np.ndarray:
-        gd = self.w_down.grad
-        gu = self.w_up.grad
-        gd = np.zeros_like(self.w_down.data) if gd is None else gd
-        gu = np.zeros_like(self.w_up.data) if gu is None else gu
-        return np.concatenate([gd.ravel(), gu.ravel()])
+        """Both gradients, flattened; call after a backward that reached them."""
+        return np.concatenate([self.w_down.grad.ravel(), self.w_up.grad.ravel()])
 
 
 def reinitialize(module: PeftModule, rng) -> PeftModule:

@@ -174,14 +174,14 @@ def test_acceptance_3_probability_contract():
         theta_hat = (u - lo) / (hi - lo) if hi > lo else np.full(n, 0.5)
         ranks = rng.permutation(n) + 1
         ids = [S.PeftModuleId(i, "SA") for i in range(n)]
-        pv = ST.prune_probabilities(zip(ids, theta_hat, ranks))
-        if abs(pv.p.sum() - 1.0) > 1e-9 or np.any(pv.p <= 0):
+        p = ST.prune_probabilities(zip(ids, theta_hat, ranks))
+        if abs(p.sum() - 1.0) > 1e-9 or np.any(p <= 0):
             violations += 1
             continue
         for i in range(n):
             for j in range(n):
                 if theta_hat[i] > theta_hat[j] and ranks[i] > ranks[j]:
-                    if not pv.p[i] > pv.p[j]:
+                    if not p[i] > p[j]:
                         violations += 1
     ok = violations == 0
     assert _report(3, "probability contract", ok,
@@ -218,15 +218,17 @@ def test_acceptance_4_mask_budget_invariants():
         records, _ = P.run_search(net, train, scorer, budget, k, steps=1,
                                   reinit_survivors=True, lr=1e-3, batch_size=10,
                                   seed=trial)
-        counts = [full] + [r.param_count_after for r in records]
+        counts = [full] + [r["param_count_after"] for r in records]
         if any(b >= a for a, b in zip(counts, counts[1:])):
             failures.append(f"trial {trial}: params not strictly decreasing")
         if counts[-1] > budget:
             failures.append(f"trial {trial}: final {counts[-1]} > budget {budget}")
         for rec in records:
-            want = P.select_top_k(rec.probabilities, len(rec.pruned))
-            if rec.pruned != want:
-                failures.append(f"trial {trial}: round {rec.round_index} not argmax-k")
+            ids = [S.PeftModuleId(e["layer"], e["kind"]) for e in rec["probabilities"]]
+            p = [e["p"] for e in rec["probabilities"]]
+            pruned = [S.PeftModuleId(m["layer"], m["kind"]) for m in rec["pruned"]]
+            if pruned != C.top_k(ids, p, len(pruned)):
+                failures.append(f"trial {trial}: round {rec['round']} not argmax-k")
     ok = not failures
     assert _report(4, "mask and budget invariants", ok,
                    failures[0] if failures else "20 randomized configs clean")

@@ -126,6 +126,25 @@ class TestConfigFiles:
         with pytest.raises(E.ConfigError, match=f"schedule.{key} must be null or an integer"):
             E.config_from_dict(doc)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("training", "retrain_epochs", 1.5), ("warmup", "rounds", 2.5),
+        ("training", "batch_size", 2.5), ("training", "lr", True),
+        ("training", "lr", float("nan")), ("training", "lr", float("inf")),
+        ("warmup", "trim_fraction", True), ("", "low_fidelity_fraction", True),
+        ("schedule", "reinit_survivors", "no"), ("", "report_dir", 5), ("", "mode", 3),
+    ])
+    def test_mistyped_value_rejected_naming_its_key(self, section, key, value):
+        doc = E.config_to_dict(make_config())
+        (doc[section] if section else doc)[key] = value
+        where = f"{section}.{key}" if section else key
+        with pytest.raises(E.ConfigError, match=f"^{where} must be"):
+            E.config_from_dict(doc)
+
+    def test_integer_lr_accepted(self):
+        doc = E.config_to_dict(make_config())
+        doc["training"]["lr"] = 1
+        assert E.config_from_dict(doc).lr == 1
+
     def test_load_config_reads_file(self, tmp_path):
         cfg = make_config()
         path = tmp_path / "c.json"

@@ -51,8 +51,8 @@ class TestScheduleDerivation:
         size = net.module_size(S.PeftModuleId(0, "SA"))
         budget = S.trainable_param_count(net) - 36 * size
         records, _ = search(net, budget, k=4)
-        assert [len(r.pruned) for r in records] == [4] * 9
-        assert records[-1].param_count_after == budget
+        assert [len(r["pruned"]) for r in records] == [4] * 9
+        assert records[-1]["param_count_after"] == budget
 
     def test_budget_at_or_above_current_count_means_no_rounds(self):
         net = build_net()
@@ -90,7 +90,7 @@ class TestScheduleDerivation:
         net = build_net()
         head = net.config.head_param_count()
         records, _ = search(net, head, k)
-        assert [len(r.pruned) for r in records] == sizes
+        assert [len(r["pruned"]) for r in records] == sizes
         assert net.mask.num_active() == 0
         assert S.trainable_param_count(net) == head
 
@@ -110,19 +110,16 @@ class TestScheduleDerivation:
 class TestSelection:
     def test_top_one_is_argmax(self):
         ids = [S.PeftModuleId(i, "SA") for i in range(3)]
-        pv = ST.ProbabilityVector(ids=ids, p=np.array([0.1, 0.5, 0.4]))
-        assert P.select_top_k(pv, 1) == [ids[1]]
+        assert C.top_k(ids, np.array([0.1, 0.5, 0.4]), 1) == [ids[1]]
 
     def test_ties_break_by_module_order(self):
         ids = [S.PeftModuleId(2, "SA"), S.PeftModuleId(0, "PA"),
                S.PeftModuleId(0, "SA")]
-        pv = ST.ProbabilityVector(ids=ids, p=np.array([0.4, 0.4, 0.2]))
-        assert P.select_top_k(pv, 1) == [S.PeftModuleId(0, "PA")]
+        assert C.top_k(ids, np.array([0.4, 0.4, 0.2]), 1) == [S.PeftModuleId(0, "PA")]
 
     def test_k_larger_than_population_is_clamped(self):
         ids = [S.PeftModuleId(0, "SA")]
-        pv = ST.ProbabilityVector(ids=ids, p=np.array([1.0]))
-        assert P.select_top_k(pv, 5) == ids
+        assert C.top_k(ids, np.array([1.0]), 5) == ids
 
 
 class TestSearch:
@@ -132,7 +129,7 @@ class TestSearch:
         budget = P.default_budget(net)
         records, served = P.run_search(net, train, hybrid_scorer_for(net), budget, 1, 2,
                                        True, lr=1e-3, batch_size=20, seed=0)
-        counts = [r.param_count_after for r in records]
+        counts = [r["param_count_after"] for r in records]
         assert counts == sorted(counts, reverse=True)
         assert counts[-1] <= budget
         assert net.mask.num_active() < len(net.mask)
@@ -144,7 +141,10 @@ class TestSearch:
         records, _ = P.run_search(net, train, hybrid_scorer_for(net), P.default_budget(net),
                                   2, 2, True, lr=1e-3, batch_size=20, seed=0)
         for rec in records:
-            assert rec.pruned == P.select_top_k(rec.probabilities, len(rec.pruned))
+            ids = [S.PeftModuleId(e["layer"], e["kind"]) for e in rec["probabilities"]]
+            p = [e["p"] for e in rec["probabilities"]]
+            pruned = [S.PeftModuleId(m["layer"], m["kind"]) for m in rec["pruned"]]
+            assert pruned == C.top_k(ids, p, len(pruned))
 
     def test_search_is_deterministic(self):
         masks = []

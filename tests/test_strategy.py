@@ -37,52 +37,50 @@ class TestPartitions:
             ST.partition_of(ST.partition_layers(8), 8)
 
 
+def tally(*votes):
+    """Warm-up counts from (criterion tag, partition index, kind, n) votes."""
+    counts = np.zeros((len(C.CRITERIA_ORDER), 4, len(S.KINDS)), dtype=int)
+    for tag, partition, kind, n in votes:
+        counts[C.CRITERIA_ORDER.index(tag), partition - 1, S.KINDS.index(kind)] += n
+    return counts
+
+
 class TestTendencyTable:
     def test_add_and_total(self):
-        table = ST.TendencyTable.empty(C.default_criteria(), 4)
-        table.add("weight", 1, "SA")
-        table.add("weight", 1, "SA")
-        table.add("gradient", 4, "PA", n=3)
-        assert table.total() == 5
-        doc = table.to_dict()
+        counts = tally(("weight", 1, "SA", 1), ("weight", 1, "SA", 1),
+                       ("gradient", 4, "PA", 3))
+        assert counts.sum() == 5
+        doc = ST.tendency_to_doc(counts)
         assert doc["weight"]["1"]["SA"] == 2
         assert doc["gradient"]["4"]["PA"] == 3
         assert doc["zeros"]["2"]["SA"] == 0
 
     def test_assign_picks_highest_concentration_per_partition(self):
-        table = ST.TendencyTable.empty(C.default_criteria(), 4)
         # weight concentrates on partition 1, gradient on partition 3
-        table.add("weight", 1, "SA", n=9)
-        table.add("weight", 2, "SA", n=1)
-        table.add("gradient", 3, "PA", n=8)
-        table.add("gradient", 2, "PA", n=2)
-        strategy = ST.assign_strategies(table, ST.partition_layers(8))
+        counts = tally(("weight", 1, "SA", 9), ("weight", 2, "SA", 1),
+                       ("gradient", 3, "PA", 8), ("gradient", 2, "PA", 2))
+        strategy = ST.assign_strategies(counts, ST.partition_layers(8))
         assert [p.index for p, _ in strategy] == [1, 2, 3, 4]
         assert strategy[0][1].tag == "weight"
         assert strategy[2][1].tag == "gradient"
 
     def test_assignment_ties_break_by_fixed_criterion_order(self):
-        table = ST.TendencyTable.empty(C.default_criteria(), 4)
-        table.add("zeros", 2, "SA", n=5)
-        table.add("sensitivity", 2, "PA", n=5)
-        strategy = ST.assign_strategies(table, ST.partition_layers(8))
+        counts = tally(("zeros", 2, "SA", 5), ("sensitivity", 2, "PA", 5))
+        strategy = ST.assign_strategies(counts, ST.partition_layers(8))
         # both fully concentrated on partition 2; "zeros" comes first
         assert strategy[1][1].tag == "zeros"
 
     def test_empty_table_rejected(self):
-        table = ST.TendencyTable.empty(C.default_criteria(), 4)
+        counts = tally()
         with pytest.raises(ValueError, match="empty"):
-            ST.assign_strategies(table, ST.partition_layers(8))
+            ST.assign_strategies(counts, ST.partition_layers(8))
         with pytest.raises(ValueError, match="empty"):
-            ST.global_best_criterion(table)
+            ST.global_best_criterion(counts)
 
     def test_global_best_uses_peak_concentration(self):
-        table = ST.TendencyTable.empty(C.default_criteria(), 4)
-        table.add("weight", 1, "SA", n=5)
-        table.add("weight", 2, "SA", n=5)
-        table.add("activation", 3, "PA", n=9)
-        table.add("activation", 4, "PA", n=1)
-        assert ST.global_best_criterion(table).tag == "activation"
+        counts = tally(("weight", 1, "SA", 5), ("weight", 2, "SA", 5),
+                       ("activation", 3, "PA", 9), ("activation", 4, "PA", 1))
+        assert ST.global_best_criterion(counts).tag == "activation"
 
 
 class TestStrategyDocs:
@@ -112,13 +110,13 @@ class TestPruneProbabilities:
     def test_probabilities_form_a_distribution(self, rng):
         n = 10
         theta = rng.uniform(size=n)
-        pv = ST.prune_probabilities(self._entries(theta, rng.permutation(n) + 1))
-        assert pv.p.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(pv.p > 0)
+        p = ST.prune_probabilities(self._entries(theta, rng.permutation(n) + 1))
+        assert p.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(p > 0)
 
     def test_dominant_entry_gets_highest_probability(self):
-        pv = ST.prune_probabilities(self._entries([0.1, 0.2, 1.0], [1, 2, 3]))
-        assert pv.p.argmax() == 2
+        p = ST.prune_probabilities(self._entries([0.1, 0.2, 1.0], [1, 2, 3]))
+        assert p.argmax() == 2
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -133,10 +131,10 @@ class TestPruneProbabilities:
     @given(n=st.integers(2, 20), seed=st.integers(0, 10_000))
     def test_distribution_contract_holds_for_random_scores(self, n, seed):
         rng = np.random.default_rng(seed)
-        pv = ST.prune_probabilities(
+        p = ST.prune_probabilities(
             self._entries(rng.uniform(size=n), rng.permutation(n) + 1))
-        assert pv.p.sum() == pytest.approx(1.0, abs=1e-9)
-        assert np.all(pv.p > 0)
+        assert p.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.all(p > 0)
 
 
 class TestScorers:
@@ -166,10 +164,10 @@ class TestScorers:
     def test_hybrid_scorer_probability_vector_covers_all_modules(self, rng):
         strategy = [(p, C.Criterion("gradient")) for p in ST.partition_layers(8)]
         stats = self._stats_map(8, rng)
-        pv, _ = ST.hybrid_scorer(strategy)(stats, rng)
-        assert sorted(pv.ids, key=S.PeftModuleId.sort_key) == sorted(
+        ids, p, _ = ST.hybrid_scorer(strategy)(stats, rng)
+        assert sorted(ids, key=S.PeftModuleId.sort_key) == sorted(
             stats, key=S.PeftModuleId.sort_key)
-        assert pv.p.sum() == pytest.approx(1.0, abs=1e-9)
+        assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_nan_weight_fails_loudly_naming_the_module(self, rng):
         strategy = [(p, C.Criterion("weight")) for p in ST.partition_layers(8)]
@@ -180,10 +178,10 @@ class TestScorers:
 
     def test_random_scorer_is_seeded_and_valid(self, rng):
         stats = self._stats_map(4, rng)
-        pv1, crit = ST.random_scorer()(stats, np.random.default_rng(5))
-        pv2, _ = ST.random_scorer()(stats, np.random.default_rng(5))
-        assert np.array_equal(pv1.p, pv2.p)
-        assert pv1.p.sum() == pytest.approx(1.0, abs=1e-9)
+        _, p1, crit = ST.random_scorer()(stats, np.random.default_rng(5))
+        _, p2, _ = ST.random_scorer()(stats, np.random.default_rng(5))
+        assert np.array_equal(p1, p2)
+        assert p1.sum() == pytest.approx(1.0, abs=1e-9)
         assert set(crit.values()) == {"random"}
 
 
@@ -198,29 +196,37 @@ class TestWarmup:
     def test_counts_rounds_times_k_per_criterion(self):
         net, train = self._build()
         parts = ST.partition_layers(4)
-        table = ST.warmup(
-            net, train, candidates=C.default_criteria(), rounds=1, k=2,
-            partitions=parts, lr=1e-3, batch_size=10, seed=0)
-        assert table.total() == 1 * 2 * 6
+        counts = ST.warmup(net, train, rounds=1, k=2, partitions=parts, lr=1e-3,
+                           batch_size=10, seed=0)
+        assert counts.shape == (6, 4, len(S.KINDS))
+        assert counts.sum() == 1 * 2 * 6
+
+    @pytest.mark.parametrize("rounds, k", [(1, 1), (2, 3), (3, 8), (2, 20)],
+                             ids=["k-1", "k-3", "k-all", "k-above-module-count"])
+    def test_each_criterion_votes_rounds_times_min_k_active(self, rounds, k):
+        net, train = self._build()
+        counts = ST.warmup(net, train, rounds, k, ST.partition_layers(4), 1e-3, 10, 0)
+        active = net.mask.num_active()
+        assert active == 8
+        assert counts.sum(axis=(1, 2)).tolist() == [rounds * min(k, active)] * 6
+        if k >= active:
+            # every criterion votes every module once a round
+            assert (counts == rounds).all()
 
     def test_weights_restored_bit_identically(self):
         net, train = self._build()
         before = net.snapshot_trainable()
-        ST.warmup(net, train, C.default_criteria(), rounds=2, k=1,
-                  partitions=ST.partition_layers(4), lr=1e-3, batch_size=10, seed=0)
+        ST.warmup(net, train, rounds=2, k=1, partitions=ST.partition_layers(4), lr=1e-3,
+                  batch_size=10, seed=0)
         after = net.snapshot_trainable()
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
     def test_warmup_is_deterministic(self):
         net, train = self._build()
-        args = (net, train, C.default_criteria(), 1, 2, ST.partition_layers(4),
-                1e-3, 10, 0)
-        a = ST.warmup(*args).counts
-        b = ST.warmup(*args).counts
-        assert np.array_equal(a, b)
+        args = (net, train, 1, 2, ST.partition_layers(4), 1e-3, 10, 0)
+        assert np.array_equal(ST.warmup(*args), ST.warmup(*args))
 
     def test_zero_rounds_rejected(self):
         net, train = self._build()
         with pytest.raises(ValueError):
-            ST.warmup(net, train, C.default_criteria(), 0, 2, ST.partition_layers(4),
-                      1e-3, 10, 0)
+            ST.warmup(net, train, 0, 2, ST.partition_layers(4), 1e-3, 10, 0)

@@ -4,21 +4,22 @@
 
 SRC_A and SRC_B are directories that hold a ``peftsearch`` package, such
 as the ``src/`` of two checkouts. For each tree, one subprocess runs a
-fixed set of ``peftsearch`` commands in a fresh temporary directory, with
-relative ``--out`` paths, so the ``report_dir`` a report records is the
-same for both trees. The set covers a small config in every mode, low
-fidelity, ``reinit_survivors: false``, a head-only budget whose last
-prune round takes fewer than ``k`` modules, a split the batch size does not
-divide, a relu net with a linear parallel adapter, a net whose gelu and
-layer-norm arrays span several row blocks of ``peftsearch.tensor`` and
-end in a partial one, a budget that needs no prune round, both exports
-and both imports, ``report``, and the three benchmark workloads of
-``perfbench/workloads.py`` at seed 1. Every file left in the two
-directories is then compared, together with each command's exit code and
-printed output (kept in ``commands.json``). The exit code is 0 when every
-file is byte-identical and 1 otherwise, with each differing file named
-and the first lines of its diff shown. The last line gives each tree's
-count of non-blank, non-comment lines in ``peftsearch/*.py``.
+fixed set of ``peftsearch`` commands in a fresh temporary directory,
+with relative ``--out`` paths, so the ``report_dir`` a report records is
+the same for both trees. The set covers a small config in every mode,
+low fidelity, ``reinit_survivors: false``, a head-only budget whose last
+prune round takes fewer than ``k`` modules, a warm-up whose criteria all
+tie, a split the batch size does not divide, a relu net with a linear
+parallel adapter, a net whose gelu and layer-norm arrays span several
+row blocks of ``peftsearch.tensor`` and end in a partial one, a budget
+that needs no prune round, both exports and both imports, ``report``,
+and the three benchmark workloads of ``perfbench/workloads.py`` at
+seed 1. Every file left in the two directories is then compared,
+together with each command's exit code and printed output (kept in
+``commands.json``). The exit code is 0 when every file is byte-identical
+and 1 otherwise, with each differing file named and the first lines of
+its diff shown. The last line gives each tree's count of non-blank,
+non-comment lines in ``peftsearch/*.py``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ def inputs() -> dict:
         # the budget is the head size, so every module goes: 3, 3, then
         # the last 2 of the 8
         "head-only.json": dict(SMALL, schedule={"k": 3, "budget": 34}),
+        # k is the module count: every criterion votes all 8 modules, every
+        # concentration ties and goes to weight, and one round prunes all 8
+        "all-tied.json": dict(SMALL, schedule={"k": 8, "budget": 34}),
         # 50 examples in batches of 20: every pass ends with a short batch
         "odd.json": dict(SMALL, task=dict(TASK, train_size=50)),
         "relu.json": dict(SMALL, supernet=dict(NET, activation="relu", pa_linear=True)),
@@ -91,6 +95,9 @@ def commands(docs: dict):
                           "--out", "runs/low"]),
         ("no-reinit", ["run", "--config", "noreinit.json", "--out", "runs/noreinit"]),
         ("head-only", ["run", "--config", "head-only.json", "--out", "runs/head-only"]),
+        ("all-tied", ["run", "--config", "all-tied.json", "--out", "runs/all-tied"]),
+        ("all-tied-no-partition", ["run", "--config", "all-tied.json", "--mode",
+                                   "no-partition", "--out", "runs/all-tied-no-partition"]),
         ("odd-split", ["run", "--config", "odd.json", "--out", "runs/odd"]),
         ("relu-pa-linear", ["run", "--config", "relu.json", "--out", "runs/relu"]),
         ("row-blocks", ["run", "--config", "blocks.json", "--out", "runs/blocks"]),
